@@ -3,7 +3,6 @@ polynomials and matrix theta functions, and verification engines for
 the twisted Yang-Baxter relation and its operator structures."""
 
 from . import errors
-from ._kernels import JIT_ENABLED
 from .linalg import (
     GENERICITY_TOL,
     canonical_order,
@@ -26,7 +25,6 @@ from .matpoly import (
 from .mtheta import (
     LatticeParams,
     MThetaBasis,
-    ScalarThetaBasis,
     ThetaElement,
     ZeroSet,
     act_ordered_theta,

@@ -1,59 +1,29 @@
-"""Hot numeric kernels with an optional numba path.
+"""The Fourier-series kernel under every theta evaluation.
 
-The one loop that dominates runtime is the truncated Fourier evaluation
-of scalar theta functions: it sits under every matrix theta operation,
-including the determinant grids scanned by the zero finder.  Both
-implementations stay importable so the benchmark can compare them; the
-active one is picked at import time.  Set TWISTLAB_JIT=0 to force the
-pure numpy path even when numba is installed.
+Each row of a batch is one truncated series whose wavenumbers step by an
+amount shared by all rows: ks[d, t] = ks[d, mid] + (t - mid) * step.  So
+
+    exp(2 pi i ks[d, t] z) = exp(2 pi i ks[d, mid] z) * exp(2 pi i (t - mid) step z),
+
+and a batch costs (rows + terms) exponentials per point and one matrix
+product instead of rows * terms exponentials.  Factoring about the middle
+term keeps both exponentials in range on the strip where the series are
+evaluated.
 """
-
-import os
 
 import numpy as np
 
 
-def theta_eval_numpy(coeffs, ks, zs):
-    """Evaluate L truncated Fourier series at the points zs.
-
-    coeffs: (L, T) complex term coefficients
-    ks:     (L, T) float wavenumbers
-    zs:     (P,) complex points
-    returns (L, P) with out[l, p] = sum_t coeffs[l, t] * exp(2 pi i ks[l, t] zs[p])
-    """
-    phase = np.exp(2j * np.pi * ks[:, :, None] * zs[None, None, :])
-    return np.einsum("lt,ltp->lp", coeffs, phase)
-
-
-_JIT_REQUESTED = os.environ.get("TWISTLAB_JIT", "1").lower() not in ("0", "false", "no")
-
-theta_eval_numba = None
-if _JIT_REQUESTED:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _theta_eval_jit(coeffs, ks, zs):
-            L, T = coeffs.shape
-            P = zs.shape[0]
-            out = np.zeros((L, P), dtype=np.complex128)
-            for l in range(L):
-                for p in range(P):
-                    z = zs[p]
-                    acc = 0.0 + 0.0j
-                    for t in range(T):
-                        acc += coeffs[l, t] * np.exp(2j * np.pi * ks[l, t] * z)
-                    out[l, p] = acc
-            return out
-
-        theta_eval_numba = _theta_eval_jit
-    except ImportError:
-        theta_eval_numba = None
-
-JIT_ENABLED = theta_eval_numba is not None
-
-
 def theta_eval(coeffs, ks, zs):
-    if JIT_ENABLED:
-        return theta_eval_numba(coeffs, ks, zs)
-    return theta_eval_numpy(coeffs, ks, zs)
+    """Evaluate D truncated Fourier series at the points zs.
+
+    coeffs: (D, T) complex term coefficients
+    ks:     (D, T) float wavenumbers; every row steps by the same amount
+    zs:     (P,) complex points
+    returns (D, P) with out[d, p] = sum_t coeffs[d, t] * exp(2 pi i ks[d, t] zs[p])
+    """
+    mid = ks.shape[1] // 2
+    tz = 2j * np.pi * zs
+    lead = np.exp(ks[:, mid, None] * tz)
+    shared = np.exp((ks[0, :, None] - ks[0, mid]) * tz)
+    return lead * (coeffs @ shared)

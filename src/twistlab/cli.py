@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -45,7 +46,13 @@ def j2c(obj, path: str) -> complex:
         or not all(isinstance(x, (int, float)) for x in obj)
     ):
         raise SchemaError(f"{path}: expected a complex number as [re, im]")
-    return complex(obj[0], obj[1])
+    try:
+        z = complex(obj[0], obj[1])
+    except OverflowError:  # an integer beyond the float range
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise SchemaError(f"{path}: expected finite numbers")
+    return z
 
 
 def j2mat(obj, path: str) -> np.ndarray:
@@ -155,9 +162,12 @@ def load_json(source: str):
 def parse_complex_flag(text: str, flag: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        z = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise SchemaError(f"{flag}: expected 're,im'") from exc
+    if not cmath.isfinite(z):
+        raise SchemaError(f"{flag}: expected finite numbers")
+    return z
 
 
 def make_map(args) -> transpositions.TwistedMap:
@@ -314,7 +324,7 @@ def cmd_theta_basis(args):
         "artifacts": {
             "dim": basis.dim,
             "c1": c2j(params.c1),
-            "terms": basis.scalar.terms,
+            "terms": basis.terms,
         },
     }
 

@@ -43,14 +43,6 @@ class ResidualTooLarge(TwistlabError):
     """A computed object fails its own residual certificate."""
 
 
-class DimensionMismatch(TwistlabError):
-    """A computed space does not have the dimension the theory predicts."""
-
-
-class ConvergenceFailure(TwistlabError):
-    """A series truncation or iteration exceeded its budget."""
-
-
 class ZeroCountMismatch(TwistlabError):
     """The determinant zero finder located the wrong number of zeros."""
 

@@ -7,12 +7,13 @@ the Heisenberg pair (gamma_1, gamma_2),
     f(z + 1/m)   = gamma_1^{-1} f(z) gamma_1
     f(z + tau/m) = exp(-2 pi i (m n z - c)) gamma_2^{-1} f(z) gamma_2
 
-The space has dimension m^2 n.  Composing the laws m times shows every
-matrix entry lives in the scalar space of order L = m^2 n with shifted
-parameter c_1 = m c - n m (m - 1) tau / 2, which is how the basis is
-built: impose both laws at sample points on the span of the scalar
-basis, and take the SVD nullspace.  det f has exactly m n simple zeros
-per fundamental cell {s/m + t tau/m} for generic f, and the scaled sum
+The pair splits f into m^2 components along the monomials
+gamma_1^a gamma_2^b, and each component is a scalar theta function of
+level n with characteristics fixed by (a, b) (Mumford, Tata Lectures on
+Theta I, the finite Heisenberg group acting on level-n theta
+functions).  So the basis is written down in closed form and the space
+has dimension m^2 n.  det f has exactly m n simple zeros per
+fundamental cell {s/m + t tau/m} for generic f, and the scaled sum
 m * sum(zeros) is congruent to m c + m n / 2 modulo the (1, tau)
 lattice; equivalently sum(zeros) = c + n/2 modulo the (1/m) lattice.
 
@@ -25,6 +26,7 @@ symmetric-group action on factor tuples.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -32,8 +34,6 @@ import numpy as np
 
 from ._kernels import theta_eval
 from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
     NonGeneric,
     NullityMismatch,
     PartitionInvalid,
@@ -78,6 +78,8 @@ class LatticeParams:
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "n", int(self.n))
+        if not (cmath.isfinite(self.tau) and cmath.isfinite(self.c)):
+            raise ValueError("tau and c must be finite")
         if self.tau.imag < 0.3:
             raise ValueError("Im tau must be at least 0.3 for the series to converge fast")
         if not 1 <= self.m <= 4:
@@ -85,7 +87,7 @@ class LatticeParams:
         if not 1 <= self.n <= 3:
             raise ValueError("n outside the supported desk scale 1..3")
         if abs(self.c.imag) > 8.0:
-            raise ValueError("Im c too large for the truncation window guard")
+            raise ValueError("Im c outside the supported range |Im c| <= 8")
 
     @property
     def L(self) -> int:
@@ -104,157 +106,98 @@ class LatticeParams:
         return self.tau / self.m
 
 
-class ScalarThetaBasis:
-    """Evaluators for the L-dimensional space of entire functions with
-    f(z + 1) = f(z) and f(z + tau) = exp(-2 pi i (L z - c1)) f(z).
-
-    Basis member alpha is the Fourier series over wavenumbers congruent
-    to alpha mod L whose coefficients obey the recursion
-    a_{k+L} = a_k exp(2 pi i k tau) exp(-2 pi i c1), seeded by
-    a_alpha = 1.  The quadratic decay of the exponents truncates the
-    series to a window chosen so the dropped tail stays below 1e-15 of
-    the dominant term at every height of the evaluation band.
-    """
-
-    def __init__(self, L: int, c1: complex, tau: complex, cap: int = 1024):
-        self.L = int(L)
-        self.c1 = complex(c1)
-        self.tau = complex(tau)
-        ti = self.tau.imag
-        lo, hi = -0.25 * ti, 2.3 * ti + 0.2
-        heights = np.linspace(lo, hi, 9)
-        span = 16
-        while True:
-            js = np.arange(-span, span + 1)
-            al = np.arange(self.L)[:, None]
-            expo = js * al * self.tau + self.L * self.tau * js * (js - 1) / 2.0 - js * self.c1
-            k = (al + js * self.L).astype(np.float64)
-            loga = -2 * np.pi * expo.imag
-            lm = loga[:, :, None] - 2 * np.pi * k[:, :, None] * heights[None, None, :]
-            peak_per_h = lm.max(axis=(0, 1))
-            if peak_per_h.max() > 600.0:
-                raise ConvergenceFailure("series terms overflow double precision for these parameters")
-            keep = (lm >= peak_per_h[None, None, :] - _TAIL_CUT).any(axis=(0, 2))
-            idx = np.where(keep)[0]
-            if idx.size and idx[0] > 0 and idx[-1] < len(js) - 1:
-                break
-            span *= 2
-            if 2 * span + 1 > cap:
-                raise ConvergenceFailure(f"truncation window exceeded the {cap}-term cap")
-        window = slice(idx[0], idx[-1] + 1)
-        if (window.stop - window.start) * self.L > cap * self.L:
-            raise ConvergenceFailure("truncation window exceeded the term cap")
-        self.ks = np.ascontiguousarray(k[:, window])
-        self.coeffs = np.ascontiguousarray(np.exp(2j * np.pi * expo[:, window]))
-
-    @property
-    def terms(self) -> int:
-        return self.coeffs.shape[1]
-
-    def eval(self, zs) -> np.ndarray:
-        zs = np.ascontiguousarray(np.atleast_1d(np.asarray(zs, dtype=np.complex128)))
-        return theta_eval(self.coeffs, self.ks, zs)
-
-
-def _cell_points(rng, count: int, tau: complex) -> np.ndarray:
-    return rng.random(count) + rng.random(count) * tau
-
-
 class MThetaBasis:
-    """Orthonormal coefficient basis of one matrix theta space.
+    """Closed-form basis of one matrix theta space.
 
-    Construction is deterministic per parameter set: the constraint
-    sample points come from a fixed-seed generator, every m^2-row block
-    is normalized by the magnitude of its own terms, and the nullspace
-    is read off the SVD with an absolute anchor so identically satisfied
-    constraints (the m = 1 case) are recognized.  A holdout check of
-    both laws guards the result.
+    Write f = sum_{a,b} f_ab(z) gamma_1^a gamma_2^b.  Conjugation by
+    gamma_1 multiplies gamma_1^a gamma_2^b by eps^b and conjugation by
+    gamma_2 multiplies it by eps^{-a}, so the two laws split into
+    scalar laws for the components:
+
+        f_ab(z + 1/m)   = eps^b f_ab(z)
+        f_ab(z + tau/m) = eps^{-a} exp(-2 pi i (m n z - c)) f_ab(z)
+
+    The first keeps the wavenumbers k = b mod m; the second ties the
+    coefficient of k + m n to that of k, which leaves one free series
+    per seed s < n.  Element d = (a, b, s), d = (a m + b) n + s, is
+    theta_abs(z) gamma_1^a gamma_2^b, where theta_abs runs over
+    k = b + m s + m n j (j in Z) with coefficient
+
+        exp(2 pi i [j (k0 tau - c + a/m) + n tau j (j - 1) / 2]),  k0 = b/m + s,
+
+    times the one positive constant that brings its largest coefficient
+    (over real j) to modulus 1.  The dimension is m^2 n by construction,
+    and coefficient vectors of elements mean the same on every machine.
+
+    Evaluation moves each point into the strip 0 <= Im z < Im tau / m
+    with the tau/m law.  There the series share one window of j that
+    keeps every term above exp(-40) of the largest.
     """
 
     def __init__(self, params: LatticeParams):
         p = params
-        m, n, L = p.m, p.n, p.L
+        m, n, t = p.m, p.n, p.tau.imag
         self.params = p
-        self.scalar = ScalarThetaBasis(L, p.c1, p.tau)
+        self.dim = p.L
+        a, b, s = (ix.ravel() for ix in np.indices((m, m, n)))
+        k0 = b / m + s
+        # |coefficient j| = exp(-2 pi (n t j^2 / 2 + slope j)), largest at
+        # j = -slope / (n t); a term of wavenumber k also carries
+        # exp(-2 pi k Im z), which moves that peak down by up to one
+        # across the strip
+        slope = k0 * t - p.c.imag - n * t / 2
+        half = np.sqrt(_TAIL_CUT / (np.pi * n * t))
+        peak = -slope / (n * t)
+        js = np.arange(int(np.floor(peak.min() - 1 - half)), int(np.ceil(peak.max() + half)) + 1)
+        expo = js * (k0[:, None] * p.tau - p.c + a[:, None] / m) + n * p.tau * js * (js - 1) / 2
+        self.coeffs = np.exp(2j * np.pi * expo - np.pi * slope[:, None] ** 2 / (n * t))
+        self.ks = (b + m * s)[:, None] + m * n * js.astype(np.float64)
+        self._a = a
         g1, g2 = clifford_pair(m)
-        self._g = (g1, g2)
-        rng = np.random.default_rng(180451)
-        zs = _cell_points(rng, 2 * L, p.tau)
-        t0 = self.scalar.eval(zs)
-        t1 = self.scalar.eval(zs + 1.0 / m)
-        t2 = self.scalar.eval(zs + p.tau / m)
-        k1 = np.kron(np.linalg.inv(g1), g1.T)
-        k2 = np.kron(np.linalg.inv(g2), g2.T)
-        eye = np.eye(m * m)
-        rows = []
-        for s in range(len(zs)):
-            e2 = np.exp(-2j * np.pi * (m * n * zs[s] - p.c))
-            r1 = np.concatenate([t1[a, s] * eye - t0[a, s] * k1 for a in range(L)], axis=1)
-            r2 = np.concatenate([t2[a, s] * eye - e2 * t0[a, s] * k2 for a in range(L)], axis=1)
-            sc1 = max(np.abs(t1[:, s]).max(), np.abs(t0[:, s]).max(), 1e-300)
-            sc2 = max(np.abs(t2[:, s]).max(), abs(e2) * np.abs(t0[:, s]).max(), 1e-300)
-            rows.append(r1 / sc1)
-            rows.append(r2 / sc2)
-        mat = np.vstack(rows)
-        _, sv, vh = np.linalg.svd(mat)
-        anchor = max(float(sv[0]), 1.0)
-        nullity = int(np.sum(sv <= 1e-8 * anchor))
-        if nullity != L:
-            raise DimensionMismatch(
-                f"space dimension {nullity} but m^2 n = {L}; parameter derivation or tau is off"
-            )
-        self.dim = nullity
-        self.phi = vh[len(vh) - nullity :].conj().reshape(nullity, L, m, m)
-        hz = _cell_points(rng, 6, p.tau)
-        worst = max(self.law_residual(self.phi[d], hz) for d in range(nullity))
-        if worst > 1e-8:
-            raise ConvergenceFailure(f"holdout law residual {worst:.2e} above 1e-8")
+        mono = [np.linalg.matrix_power(g1, i) @ np.linalg.matrix_power(g2, k) for i in range(m) for k in range(m)]
+        self._mono = np.repeat(np.reshape(mono, (m * m, m * m)), n, axis=0)
         self._probes = np.array([f1 + f2 * p.tau for f1, f2 in _PROBE_FRACS])
-        self._probe_scale = float(
-            max(np.linalg.norm(blk) for blk in self.eval_basis(self._probes).reshape(-1, m, m))
-        )
+        # largest Frobenius norm of an element at the probes; each value is
+        # a series times a monomial with m unit entries
+        self._probe_scale = float(np.sqrt(m) * np.abs(self.series(self._probes)).max())
+
+    @property
+    def terms(self) -> int:
+        return self.ks.shape[1]
+
+    def series(self, zs) -> np.ndarray:
+        """theta_abs at the points zs, one row per element: (dim, P)."""
+        p = self.params
+        zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+        q = np.floor(zs.imag / p.omega2.imag)
+        w = zs - q * p.omega2
+        th = theta_eval(self.coeffs, self.ks, w)
+        if not q.any():  # all points in the strip, as on zero grids and Newton steps
+            return th
+        # q applications of the tau/m law from the strip back to zs
+        lift = np.outer(self._a / p.m, q) + q * (p.m * p.n * w - p.c + (q - 1) * (p.n * p.tau / 2))
+        return th * np.exp(-2j * np.pi * lift)
 
     def eval_basis(self, zs) -> np.ndarray:
-        th = self.scalar.eval(zs)
-        return np.einsum("daij,ap->dpij", self.phi, th)
+        """Matrix values of every element: (dim, P, m, m)."""
+        th = self.series(zs)
+        m = self.params.m
+        return (th[:, :, None] * self._mono[:, None, :]).reshape(self.dim, th.shape[1], m, m)
 
     def eval(self, x, zs) -> np.ndarray:
-        th = self.scalar.eval(zs)
-        comb = np.tensordot(np.asarray(x, dtype=np.complex128), self.phi, axes=1)
-        return np.einsum("aij,ap->pij", comb, th)
-
-    def law_residual(self, phi_comb, zs) -> float:
-        """Worst relative residual of both transformation laws at zs."""
-        p = self.params
-        g1, g2 = self._g
-        th0 = self.scalar.eval(zs)
-        th1 = self.scalar.eval(zs + 1.0 / p.m)
-        th2 = self.scalar.eval(zs + p.tau / p.m)
-        f0 = np.einsum("aij,ap->pij", phi_comb, th0)
-        f1 = np.einsum("aij,ap->pij", phi_comb, th1)
-        f2 = np.einsum("aij,ap->pij", phi_comb, th2)
-        worst = 0.0
-        g1i = np.linalg.inv(g1)
-        g2i = np.linalg.inv(g2)
-        for s in range(len(zs)):
-            e2 = np.exp(-2j * np.pi * (p.m * p.n * zs[s] - p.c))
-            sc1 = max(np.linalg.norm(f0[s]), np.linalg.norm(f1[s]), 1e-300)
-            sc2 = max(np.linalg.norm(f2[s]), abs(e2) * np.linalg.norm(f0[s]), 1e-300)
-            worst = max(
-                worst,
-                np.linalg.norm(f1[s] - g1i @ f0[s] @ g1) / sc1,
-                np.linalg.norm(f2[s] - e2 * g2i @ f0[s] @ g2) / sc2,
-            )
-        return float(worst)
+        """Matrix values of the combination with coefficients x: (P, m, m)."""
+        th = self.series(zs) * np.asarray(x, dtype=np.complex128)[:, None]
+        m = self.params.m
+        return (th.T @ self._mono).reshape(-1, m, m)
 
 
 @lru_cache(maxsize=512)
-def _basis_cached(m: int, n: int, c: complex, tau: complex) -> MThetaBasis:
-    return MThetaBasis(LatticeParams(tau=tau, m=m, n=n, c=c))
+def _basis_cached(params: LatticeParams) -> MThetaBasis:
+    return MThetaBasis(params)
 
 
 def mtheta_basis(params: LatticeParams) -> MThetaBasis:
-    return _basis_cached(params.m, params.n, complex(params.c), complex(params.tau))
+    return _basis_cached(params)
 
 
 @dataclass(frozen=True, eq=False)

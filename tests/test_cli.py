@@ -187,3 +187,41 @@ def test_determinism_per_subcommand(argv):
     rep1.pop("timing")
     rep2.pop("timing")
     assert rep1 == rep2
+
+
+@pytest.mark.parametrize(
+    "m,n,flags",
+    [
+        (3, 3, ["--tau", "0,1"]),
+        (2, 2, ["--tau", "0,2"]),
+        (2, 3, ["--c", "0,0"]),
+    ],
+)
+def test_theta_basis_builds_across_the_box(m, n, flags):
+    # parameter sets the earlier numerical construction failed on
+    code, rep, _ = invoke(["theta-basis", "--m", str(m), "--n", str(n)] + flags)
+    assert code == 0
+    assert rep["artifacts"]["dim"] == m * m * n
+
+
+NAN_PAIR = '{"a1": [[[NaN,0],[0,0]],[[0,0],[2,0]]], "a2": [[[3,0],[1,0]],[[0,0],[4,0]]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta-basis", "--c", "nan,0"],
+        ["theta-basis", "--tau", "0,nan"],
+        ["theta-basis", "--tau", "nan,1"],
+        ["pair-swap", "--in", NAN_PAIR],
+        ["pair-swap", "--in", NAN_PAIR.replace("NaN", "1" + "0" * 400)],
+    ],
+    ids=["c-nan", "tau-im-nan", "tau-re-nan", "pair-swap-json-nan", "pair-swap-json-huge-int"],
+)
+def test_non_finite_input_exit_2(argv):
+    code, rep, err = invoke(argv)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert rep["error"]["type"] == "SchemaError"
+    assert "finite" in rep["error"]["message"]
+    assert "Traceback" not in err

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab.errors import NullityMismatch, SumRuleViolated
 from twistlab.mtheta import (
     LatticeParams,
-    ScalarThetaBasis,
+    MThetaBasis,
     ThetaDomain,
     _kernel_vector,
     act_ordered_theta,
@@ -44,25 +46,61 @@ def test_clifford_relations(m):
     assert np.linalg.norm(np.linalg.matrix_power(g2, m) - np.eye(m)) < 1e-14
 
 
+def _law_residuals(params, vals):
+    """Worst relative residuals of both laws for matrix functions given as
+    vals(zs) -> (..., P, m, m), at points of the (1/m, tau/m) cell; every
+    value must be finite."""
+    m, n, tau, c = params.m, params.n, params.tau, params.c
+    rng = np.random.default_rng(2)
+    zs = (rng.random(40) + rng.random(40) * tau) / m
+    g1, g2 = clifford_pair(m)
+    f0, f1, f2 = vals(zs), vals(zs + 1.0 / m), vals(zs + tau / m)
+    assert all(np.isfinite(f).all() for f in (f0, f1, f2))
+    e2 = np.exp(-2j * np.pi * (m * n * zs - c))[:, None, None]
+    c1 = np.linalg.inv(g1) @ f0 @ g1
+    c2 = e2 * (np.linalg.inv(g2) @ f0 @ g2)
+    axes = (-3, -2, -1)
+
+    def rel(lhs, rhs):
+        scale = np.maximum(np.abs(lhs).max(axis=axes), np.abs(rhs).max(axis=axes))
+        return float((np.abs(lhs - rhs).max(axis=axes) / scale).max())
+
+    return rel(f1, c1), rel(f2, c2)
+
+
+def _check_space(params):
+    """Dimension m^2 n, both laws within 1e-12 relative for every element,
+    finite values, and full numerical rank of the sampled basis."""
+    basis = MThetaBasis(params)
+    m = params.m
+    assert basis.dim == m * m * params.n
+    assert max(_law_residuals(params, basis.eval_basis)) < 1e-12
+    rng = np.random.default_rng(3)
+    zs = (rng.random(2 * basis.dim) + rng.random(2 * basis.dim) * params.tau) / m
+    vals = basis.eval_basis(zs)
+    vals = vals / np.abs(vals).max(axis=(0, 2, 3))[None, :, None, None]
+    s = np.linalg.svd(vals.reshape(basis.dim, -1), compute_uv=False)
+    assert s[-1] > 1e-8 * s[0]
+
+
 def test_scalar_basis_quasi_periodicity():
-    basis = ScalarThetaBasis(1, C0, TAU)
+    # at m = 1 the space is the scalar theta space of level n
+    basis = mtheta_basis(LatticeParams(tau=TAU, m=1, n=1, c=C0))
     rng = np.random.default_rng(0)
     zs = rng.random(20) + rng.random(20) * TAU
-    v0 = basis.eval(zs)
-    v1 = basis.eval(zs + 1.0)
-    v2 = basis.eval(zs + TAU)
+    v0 = basis.series(zs)
+    v1 = basis.series(zs + 1.0)
+    v2 = basis.series(zs + TAU)
     mult = np.exp(-2j * np.pi * (1 * zs - C0))
     assert np.abs(v1 - v0).max() / np.abs(v0).max() < 1e-12
-    assert np.abs(v2 - mult[None, :] * v0).max() / np.abs(v2).max() < 1e-10
+    assert np.abs(v2 - mult[None, :] * v0).max() / np.abs(v2).max() < 1e-12
 
 
 def test_scalar_basis_linear_independence():
-    L = 4
-    basis = ScalarThetaBasis(L, C0, TAU)
+    basis = mtheta_basis(LatticeParams(tau=TAU, m=1, n=3, c=C0))
     rng = np.random.default_rng(1)
-    zs = rng.random(L) + rng.random(L) * TAU
-    mat = basis.eval(zs)
-    s = np.linalg.svd(mat, compute_uv=False)
+    zs = rng.random(3) + rng.random(3) * TAU
+    s = np.linalg.svd(basis.series(zs), compute_uv=False)
     assert s[-1] > 1e-8 * s[0]
 
 
@@ -75,13 +113,72 @@ def test_dimension_formula(m, n):
     assert mtheta_basis(params).dim == m * m * n
 
 
+@pytest.mark.parametrize("tau,c", [(complex(0, np.nan), 0), (complex(np.nan, 1), 0), (1j, complex(np.inf, 0))])
+def test_lattice_params_reject_non_finite(tau, c):
+    with pytest.raises(ValueError, match="finite"):
+        LatticeParams(tau=tau, m=2, n=1, c=c)
+
+
 def test_basis_laws_on_holdout_points():
     params = LatticeParams(tau=TAU, m=2, n=1, c=C0)
+    assert max(_law_residuals(params, mtheta_basis(params).eval_basis)) < 1e-12
+
+
+# corners of the advertised box, among them parameter sets the earlier
+# SVD construction rejected
+CORNERS = [
+    (3, 3, 1j, C0),
+    (4, 3, 1j, 0),
+    (4, 3, 2j, C0),
+    (2, 2, 0.5 + 1j, C0),
+    (2, 3, 1j, 0),
+    (3, 1, 1j, 0.125 - 0.25j),
+    (4, 3, 0.5 + 0.3j, -8j),
+    (1, 1, 0.3j, 8j),
+    (4, 1, 0.3j, -8j),
+    (4, 3, -0.5 + 3j, 8j),
+]
+
+
+@pytest.mark.parametrize("m,n,tau,c", CORNERS)
+def test_basis_at_box_corners(m, n, tau, c):
+    _check_space(LatticeParams(tau=tau, m=m, n=n, c=c))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 3),
+    re_tau=st.floats(-0.5, 0.5),
+    im_tau=st.floats(0.3, 3.0),
+    re_c=st.floats(-1.0, 1.0),
+    im_c=st.floats(-8.0, 8.0),
+)
+def test_basis_over_the_box(m, n, re_tau, im_tau, re_c, im_c):
+    _check_space(LatticeParams(tau=complex(re_tau, im_tau), m=m, n=n, c=complex(re_c, im_c)))
+
+
+def test_basis_matches_direct_fourier_sum():
+    """Each element is the stated series times a positive constant, summed
+    here term by term without the strip reduction."""
+    params = LatticeParams(tau=0.2 + 1.1j, m=2, n=2, c=0.3 - 0.4j)
+    m, n, tau, c = params.m, params.n, params.tau, params.c
     basis = mtheta_basis(params)
-    rng = np.random.default_rng(2)
-    zs = rng.random(50) + rng.random(50) * TAU
-    worst = max(basis.law_residual(basis.phi[d], zs) for d in range(basis.dim))
-    assert worst < 1e-8
+    g1, g2 = clifford_pair(m)
+    # points one strip below, in, and one and two strips above the strip
+    zs = np.array([0.3 - 0.5j, 0.1 + 0.2j, 0.7 + 0.9j, -0.4 + 1.6j])
+    th = basis.series(zs)
+    vals = basis.eval_basis(zs)
+    js = np.arange(-12, 13)
+    for d, (a, b, s) in enumerate(np.ndindex(m, m, n)):
+        k0 = b / m + s
+        coef = np.exp(2j * np.pi * (js * (k0 * tau - c + a / m) + n * tau * js * (js - 1) / 2))
+        ks = b + m * s + m * n * js
+        ratio = th[d] / (np.exp(2j * np.pi * np.outer(zs, ks)) @ coef)
+        assert ratio[0].real > 0
+        assert np.abs(ratio - ratio[0].real).max() < 1e-12 * ratio[0].real
+        mono = np.linalg.matrix_power(g1, a) @ np.linalg.matrix_power(g2, b)
+        assert np.abs(vals[d] - th[d][:, None, None] * mono).max() < 1e-14 * np.abs(vals[d]).max()
 
 
 def test_det_zeros_m1_n1_location():
@@ -144,12 +241,8 @@ def test_quasi_periodicity_of_random_elements():
     rng = np.random.default_rng(7)
     for (m, n) in [(2, 1), (2, 2)]:
         params = LatticeParams(tau=TAU, m=m, n=n, c=C0)
-        basis = mtheta_basis(params)
         f = random_element(params, rng)
-        zs = rng.random(50) + rng.random(50) * TAU
-        assert basis.law_residual(
-            np.tensordot(f.coeffs, basis.phi, axes=1), zs
-        ) < 1e-8
+        assert max(_law_residuals(params, f.eval)) < 1e-12
 
 
 def test_factorize_theta_degree_one_identity():
