@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import matpoly, mtheta, transpositions, ybe
 from .errors import SchemaError, TwistlabError
 from .mtheta import LatticeParams, ThetaElement
-from .report import VerificationReport
 
 SCHEMA = "twistlab/1"
 
@@ -53,6 +52,12 @@ def j2c(obj, path: str) -> complex:
     if not cmath.isfinite(z):
         raise SchemaError(f"{path}: expected finite numbers")
     return z
+
+
+def j2vec(obj, path: str) -> np.ndarray:
+    if not isinstance(obj, list):
+        raise SchemaError(f"{path}: expected an array of complex numbers")
+    return np.array([j2c(x, f"{path}[{i}]") for i, x in enumerate(obj)])
 
 
 def j2mat(obj, path: str) -> np.ndarray:
@@ -214,25 +219,26 @@ def point_from_json(map_, obj, path):
     if kind == "matrix":
         return j2mat(obj, path)
     if kind == "vector":
-        if not isinstance(obj, list):
-            raise SchemaError(f"{path}: expected an array of complex numbers")
-        return np.array([j2c(x, f"{path}[{i}]") for i, x in enumerate(obj)])
+        return j2vec(obj, path)
     if kind == "theta":
         elem = j2theta(obj, path)
         return elem.with_zeros(mtheta.det_zeros(elem).points)
     raise SchemaError(f"{path}: unsupported point kind {kind}")
 
 
-def report_from_verifications(reports: list[VerificationReport]) -> dict:
-    status = "pass" if all(r.passed for r in reports) else "fail"
-    failures = []
-    for r in reports:
-        failures.extend({"check": r.check, "sample": i, "residual": v} for i, v in r.failures)
+def report_body(artifacts=None, residual: float = 0.0, tol: float = math.inf, reports=()) -> dict:
+    """The status, max_residual, failures and artifacts of a handler's report.
+
+    A handler passes what it computed: its artifacts, a residual with the
+    tolerance it must meet, or verification reports, which become
+    artifacts under their check names and contribute their failing samples.
+    """
+    passed = residual <= tol and all(r.passed for r in reports)
     return {
-        "status": status,
-        "max_residual": max((r.max_residual for r in reports), default=0.0),
-        "failures": failures,
-        "artifacts": {r.check: r.to_dict() for r in reports},
+        "status": "pass" if passed else "fail",
+        "max_residual": max([residual] + [r.max_residual for r in reports]),
+        "failures": [{"check": r.check, "sample": i, "residual": v} for r in reports for i, v in r.failures],
+        "artifacts": dict(artifacts or {}, **{r.check: r.to_dict() for r in reports}),
     }
 
 
@@ -244,7 +250,7 @@ def cmd_verify_map(args):
     map_ = make_map(args)
     inv = transpositions.verify_involution(map_, args.samples, args.seed, args.tol)
     braid = transpositions.verify_braid(map_, args.samples, args.seed, args.tol)
-    return report_from_verifications([inv, braid])
+    return report_body(reports=[inv, braid])
 
 
 def cmd_act(args):
@@ -254,12 +260,7 @@ def cmd_act(args):
         raise SchemaError("input: expected an array of points")
     pts = [point_from_json(map_, x, f"input[{i}]") for i, x in enumerate(data)]
     out = transpositions.act(map_, parse_word(args.word), pts)
-    return {
-        "status": "pass",
-        "max_residual": 0.0,
-        "failures": [],
-        "artifacts": {"tuple": [point_to_json(map_, p) for p in out]},
-    }
+    return report_body({"tuple": [point_to_json(map_, p) for p in out]})
 
 
 def cmd_factor_poly(args):
@@ -273,15 +274,11 @@ def cmd_factor_poly(args):
     resid = max(
         float(np.linalg.norm(a - b)) for a, b in zip(back.coeffs, poly.coeffs)
     ) / poly.scale()
-    return {
-        "status": "pass" if resid <= max(args.tol, 1e-8) else "fail",
-        "max_residual": resid,
-        "failures": [],
-        "artifacts": {
-            "factors": [mat2j(b) for b in ft.factors],
-            "spectra": [[c2j(x) for x in s] for s in ft.spectra],
-        },
+    artifacts = {
+        "factors": [mat2j(b) for b in ft.factors],
+        "spectra": [[c2j(x) for x in s] for s in ft.spectra],
     }
+    return report_body(artifacts, resid, max(args.tol, 1e-8))
 
 
 def cmd_pair_swap(args):
@@ -294,12 +291,7 @@ def cmd_pair_swap(args):
     resid = float(np.linalg.norm(b1 @ b2 - a1 @ a2)) / max(
         1.0, float(np.linalg.norm(a1 @ a2))
     )
-    return {
-        "status": "pass",
-        "max_residual": resid,
-        "failures": [],
-        "artifacts": {"b1": mat2j(b1), "b2": mat2j(b2)},
-    }
+    return report_body({"b1": mat2j(b1), "b2": mat2j(b2)}, resid, max(args.tol, 1e-8))
 
 
 def theta_params_from_args(args) -> LatticeParams:
@@ -317,27 +309,15 @@ def theta_params_from_args(args) -> LatticeParams:
 def cmd_theta_basis(args):
     params = theta_params_from_args(args)
     basis = mtheta.mtheta_basis(params)
-    return {
-        "status": "pass",
-        "max_residual": 0.0,
-        "failures": [],
-        "artifacts": {
-            "dim": basis.dim,
-            "c1": c2j(params.c1),
-            "terms": basis.terms,
-        },
-    }
+    return report_body({"dim": basis.dim, "c1": c2j(params.c1), "terms": basis.terms})
 
 
 def cmd_theta_zeros(args):
     elem = j2theta(load_json(args.infile), "input")
-    zs = mtheta.det_zeros(elem, tol=max(args.tol, 1e-6))
-    return {
-        "status": "pass",
-        "max_residual": zs.sum_residual,
-        "failures": [],
-        "artifacts": {"zeros": [c2j(z) for z in zs.points], "sum_residual": zs.sum_residual},
-    }
+    tol = max(args.tol, 1e-6)
+    zs = mtheta.det_zeros(elem, tol=tol)
+    artifacts = {"zeros": [c2j(z) for z in zs.points], "sum_residual": zs.sum_residual}
+    return report_body(artifacts, zs.sum_residual, tol)
 
 
 def cmd_theta_interp(args):
@@ -350,23 +330,9 @@ def cmd_theta_interp(args):
     if not isinstance(pts_j, list) or not isinstance(vec_j, list):
         raise SchemaError("input: 'points' and 'vectors' must be arrays")
     pts = [j2c(z, f"input.points[{i}]") for i, z in enumerate(pts_j)]
-    vecs = [
-        np.array([j2c(x, f"input.vectors[{i}][{j}]") for j, x in enumerate(v)])
-        if isinstance(v, list)
-        else _schema_fail(f"input.vectors[{i}]")
-        for i, v in enumerate(vec_j)
-    ]
+    vecs = [j2vec(v, f"input.vectors[{i}]") for i, v in enumerate(vec_j)]
     elem = mtheta.interpolate(params, pts, vecs)
-    return {
-        "status": "pass",
-        "max_residual": 0.0,
-        "failures": [],
-        "artifacts": {"element": theta2j(elem)},
-    }
-
-
-def _schema_fail(path):
-    raise SchemaError(f"{path}: expected an array")
+    return report_body({"element": theta2j(elem)})
 
 
 def cmd_theta_factor(args):
@@ -380,12 +346,7 @@ def cmd_theta_factor(args):
         raise SchemaError("input.csplit: expected an array of complex numbers")
     csplit = [j2c(x, f"input.csplit[{i}]") for i, x in enumerate(csplit_j)]
     factors = mtheta.factorize_theta(elem, partition, csplit, tol=max(args.tol, 1e-6))
-    return {
-        "status": "pass",
-        "max_residual": 0.0,
-        "failures": [],
-        "artifacts": {"factors": [theta2j(f) for f in factors]},
-    }
+    return report_body({"factors": [theta2j(f) for f in factors]})
 
 
 def cmd_theta_mu(args):
@@ -395,17 +356,14 @@ def cmd_theta_mu(args):
     f = j2theta(data.get("f"), "input.f")
     g = j2theta(data.get("g"), "input.g")
     f1, g1 = mtheta.theta_mu(f, g, tol=max(args.tol, 1e-6))
-    return {
-        "status": "pass",
-        "max_residual": 0.0,
-        "failures": [],
-        "artifacts": {
+    return report_body(
+        {
             "f1": theta2j(f1),
             "g1": theta2j(g1),
             "f1_zeros": [c2j(z) for z in f1.zeros],
             "g1_zeros": [c2j(z) for z in g1.zeros],
-        },
-    }
+        }
+    )
 
 
 def cmd_verify_ybe(args):
@@ -413,22 +371,20 @@ def cmd_verify_ybe(args):
     r = ybe.builtin_R(args.r, map_, args.n)
     inv = ybe.verify_inverse(r, args.samples, args.seed, args.tol)
     tybe = ybe.verify_tybe(r, args.samples, args.seed, args.tol)
-    return report_from_verifications([inv, tybe])
+    return report_body(reports=[inv, tybe])
 
 
 def cmd_verify_l(args):
     map_ = make_map(args)
     r = ybe.builtin_R(args.r, map_, args.n)
     l_op = ybe.builtin_L(args.l, args.n, args.w)
-    rep = ybe.verify_L(l_op, r, args.samples, args.seed, args.tol)
-    return report_from_verifications([rep])
+    return report_body(reports=[ybe.verify_L(l_op, r, args.samples, args.seed, args.tol)])
 
 
 def cmd_q_check(args):
     map_ = make_map(args)
     l_op = ybe.builtin_L(args.l, args.n, args.w)
-    rep = ybe.q_check(l_op, map_, args.samples, args.seed, args.tol)
-    return report_from_verifications([rep])
+    return report_body(reports=[ybe.q_check(l_op, map_, args.samples, args.seed, args.tol)])
 
 
 def cmd_scatter(args):
@@ -439,15 +395,7 @@ def cmd_scatter(args):
         raise SchemaError("input: expected an array of points")
     pts = [point_from_json(map_, x, f"input[{i}]") for i, x in enumerate(data)]
     op, out = ybe.scattering(r, parse_word(args.word), pts)
-    return {
-        "status": "pass",
-        "max_residual": 0.0,
-        "failures": [],
-        "artifacts": {
-            "operator": mat2j(op),
-            "params": [point_to_json(map_, p) for p in out],
-        },
-    }
+    return report_body({"operator": mat2j(op), "params": [point_to_json(map_, p) for p in out]})
 
 
 def make_gf(args) -> ybe.GFSystem:
@@ -459,8 +407,7 @@ def make_gf(args) -> ybe.GFSystem:
 
 def cmd_gf_verify(args):
     sys_ = make_gf(args)
-    rep = ybe.gf_verify(sys_, args.samples, args.seed, args.tol)
-    return report_from_verifications([rep])
+    return report_body(reports=[ybe.gf_verify(sys_, args.samples, args.seed, args.tol)])
 
 
 def cmd_gf_compose(args):
@@ -470,17 +417,14 @@ def cmd_gf_compose(args):
     u = sys_.domain.sample(rng)
     v = sys_.domain.sample(rng)
     out = map_.apply(u, v)
-    return {
-        "status": "pass",
-        "max_residual": 0.0,
-        "failures": [],
-        "artifacts": {
+    return report_body(
+        {
             "m": sys_.m,
             "sample_input": [point_to_json(map_, u), point_to_json(map_, v)],
             "sample_output": [point_to_json(map_, p) for p in out],
             "r_sample": mat2j(r(u, v)),
-        },
-    }
+        }
+    )
 
 
 HANDLERS = {
@@ -558,7 +502,6 @@ def run(argv=None) -> int:
     if args.samples < 1 or args.tol <= 0:
         print("samples must be >= 1 and tol > 0", file=sys.stderr)
         return 2
-    t0 = time.perf_counter()
     base = {
         "schema": SCHEMA,
         "subcommand": args.subcommand,
@@ -575,13 +518,11 @@ def run(argv=None) -> int:
             failures=[],
             artifacts={},
             error={"type": type(exc).__name__, "message": str(exc)},
-            timing=time.perf_counter() - t0,
         )
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         _emit(base, args.format)
         return 2
     base.update(body)
-    base["timing"] = time.perf_counter() - t0
     _emit(base, args.format)
     return 0 if base["status"] == "pass" else 1
 

@@ -44,7 +44,7 @@ from .errors import (
     ZeroCountMismatch,
 )
 from .linalg import nullspace_vector
-from .transpositions import MAX_REDRAW, PointDomain, TwistedMap, adjacent_word
+from .transpositions import PointDomain, TwistedMap, adjacent_word, redraw
 
 CELL_GATE = 1e-4
 _TAIL_CUT = 40.0
@@ -522,15 +522,17 @@ def _best_fit_scalar(a: np.ndarray, b: np.ndarray) -> complex:
     return np.vdot(b, a) / denom
 
 
-def _product_residual(left, right, reference) -> float:
-    """Relative residual of left*right against reference up to one scalar."""
-    zs = np.array([f1 + f2 * reference.params.tau for f1, f2 in _PROBE_FRACS] * 5) + np.array(
-        [0.013 * k for k in range(20)]
-    )
-    lr = np.matmul(left.eval(zs), right.eval(zs)).ravel()
+def _product_residual(factors, reference, step: float = 0.013) -> float:
+    """Relative residual of the ordered product of factors against
+    reference up to one scalar, at 20 probe points spaced by step."""
+    zs = np.array([f1 + f2 * reference.params.tau for f1, f2 in _PROBE_FRACS] * 5) + step * np.arange(20)
+    prod = factors[0].eval(zs)
+    for fk in factors[1:]:
+        prod = np.matmul(prod, fk.eval(zs))
+    prod = prod.ravel()
     ref = reference.eval(zs).ravel()
-    s = _best_fit_scalar(ref, lr)
-    return float(np.linalg.norm(lr * s - ref) / max(np.linalg.norm(ref), 1e-300))
+    s = _best_fit_scalar(ref, prod)
+    return float(np.linalg.norm(prod * s - ref) / max(np.linalg.norm(ref), 1e-300))
 
 
 def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
@@ -562,7 +564,7 @@ def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
     f1 = interpolate(
         LatticeParams(tau=p.tau, m=p.m, n=1, c=g.params.c), g.zeros, ws, side="left"
     )
-    resid = _product_residual(f1, g1, h)
+    resid = _product_residual([f1, g1], h)
     if resid > tol:
         raise ResidualTooLarge(f"product not preserved, residual {resid:.2e}")
     return f1, g1
@@ -608,14 +610,7 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
         cur = _quotient_fit(cur, fk, LatticeParams(tau=p.tau, m=m, n=k, c=cur_c), resid_tol=tol)
         peeled.append(fk)
     factors = [cur.normalized().with_zeros(tuple(blocks[0]))] + list(reversed(peeled))
-    zs = np.array([f1 + f2 * p.tau for f1, f2 in _PROBE_FRACS] * 5) + np.array([0.017 * k for k in range(20)])
-    prod = factors[0].eval(zs)
-    for fk in factors[1:]:
-        prod = np.matmul(prod, fk.eval(zs))
-    prod = prod.ravel()
-    ref = f.eval(zs).ravel()
-    s = _best_fit_scalar(ref, prod)
-    rel = float(np.linalg.norm(prod * s - ref) / max(np.linalg.norm(ref), 1e-300))
+    rel = _product_residual(factors, f, step=0.017)
     if rel > tol:
         raise ResidualTooLarge(f"factor product misses the element by {rel:.2e}")
     return factors
@@ -672,29 +667,29 @@ class ThetaDomain(PointDomain):
     def sample(self, rng) -> ThetaElement:
         m, tau = self.m, self.tau
         o1, o2 = 1.0 / m, tau / m
-        for _ in range(MAX_REDRAW):
+
+        def trial():
             zs = [complex(rng.random() / m + rng.random() * tau / m) for _ in range(m)]
-            ok = all(
+            if not all(
                 modular_distance(zs[i], zs[j], o1, o2) > 50 * CELL_GATE
                 for i in range(m)
                 for j in range(i + 1, m)
-            )
-            if not ok:
-                continue
-            c = sum(zs) - 0.5
+            ):
+                raise NonGeneric("prescribed zeros too close modulo the cell")
             try:
-                params = LatticeParams(tau=tau, m=m, n=1, c=c)
-            except ValueError:
-                continue
+                params = LatticeParams(tau=tau, m=m, n=1, c=sum(zs) - 0.5)
+            except ValueError as exc:
+                raise NonGeneric(str(exc)) from exc
             if m == 1:
                 vs = [np.ones(1, dtype=np.complex128)]
             else:
                 vs = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(m)]
             try:
                 return interpolate(params, zs, vs)
-            except (NullityMismatch, ResidualTooLarge):
-                continue
-        raise NonGeneric("could not sample a generic degree-1 theta element")
+            except (NullityMismatch, ResidualTooLarge) as exc:
+                raise NonGeneric(str(exc)) from exc
+
+        return redraw(trial, "degree-1 theta element")
 
     def distance(self, a: ThetaElement, b: ThetaElement) -> float:
         if a.params == b.params:

@@ -155,51 +155,53 @@ def builtin_map(name: str, m: int = 2, q_scale=1.0 + 0.0j, q_shift=0.0 + 0.0j) -
     raise UnknownMap(f"no built-in map named {name!r}")
 
 
-def _draw_pair(map_: TwistedMap, rng):
+def redraw(trial, what: str):
+    """Run trial() until it returns, retrying up to MAX_REDRAW times while
+    it raises NonGeneric; a trial that draws its own points resamples
+    them on every retry."""
     for _ in range(MAX_REDRAW):
-        u = map_.domain.sample(rng)
-        v = map_.domain.sample(rng)
-        if map_.is_generic(u, v):
-            return u, v
-    raise NonGeneric(f"{map_.name}: no generic pair after {MAX_REDRAW} draws")
+        try:
+            return trial()
+        except NonGeneric:
+            continue
+    raise NonGeneric(f"{what}: no generic sample after {MAX_REDRAW} draws")
+
+
+def verify_samples(check: str, subject: str, samples: int, seed: int, tol: float, trial) -> VerificationReport:
+    """Record trial(rng), a residual, for each of `samples` seeded samples.
+
+    A trial is the whole sample (draw, map and residual), so a NonGeneric
+    raised anywhere in it redraws that sample."""
+    rng = np.random.default_rng(seed)
+    rep = VerificationReport(check, subject, samples, seed, tol)
+    for k in range(samples):
+        rep.record(k, redraw(lambda: trial(rng), f"{subject}: {check}"))
+    return rep
 
 
 def verify_involution(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Check mu(mu(u, v)) = (u, v) on seeded generic samples."""
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport("involution", map_.name, samples, seed, tol)
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            try:
-                u, v = _draw_pair(map_, rng)
-                u1, v1 = map_.apply(u, v)
-                u2, v2 = map_.apply(u1, v1)
-                break
-            except NonGeneric:
-                continue
-        else:
-            raise NonGeneric(f"{map_.name}: involution sampling exhausted redraws")
-        rep.record(k, max(map_.domain.distance(u2, u), map_.domain.distance(v2, v)))
-    return rep
+    dom = map_.domain
+
+    def trial(rng):
+        u, v = dom.sample(rng), dom.sample(rng)
+        u2, v2 = map_.apply(*map_.apply(u, v))
+        return max(dom.distance(u2, u), dom.distance(v2, v))
+
+    return verify_samples("involution", map_.name, samples, seed, tol, trial)
 
 
 def verify_braid(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-8) -> VerificationReport:
     """Compare sigma1 sigma2 sigma1 with sigma2 sigma1 sigma2 on triples."""
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport("braid", map_.name, samples, seed, tol)
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            pts = tuple(map_.domain.sample(rng) for _ in range(3))
-            try:
-                left = act(map_, (1, 2, 1), pts)
-                right = act(map_, (2, 1, 2), pts)
-                break
-            except NonGeneric:
-                continue
-        else:
-            raise NonGeneric(f"{map_.name}: braid sampling exhausted redraws")
-        rep.record(k, max(map_.domain.distance(x, y) for x, y in zip(left, right)))
-    return rep
+    dom = map_.domain
+
+    def trial(rng):
+        pts = tuple(dom.sample(rng) for _ in range(3))
+        left = act(map_, (1, 2, 1), pts)
+        right = act(map_, (2, 1, 2), pts)
+        return max(dom.distance(x, y) for x, y in zip(left, right))
+
+    return verify_samples("braid", map_.name, samples, seed, tol, trial)
 
 
 def act(map_: TwistedMap, word, points):

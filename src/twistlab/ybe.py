@@ -26,11 +26,11 @@ import numpy as np
 from .errors import NonGeneric, ResidualTooLarge, SizeMismatch, UnknownMap, UnknownR
 from .report import VerificationReport
 from .transpositions import (
-    MAX_REDRAW,
     PointDomain,
     TwistedMap,
     VectorDomain,
     adjacent_word,
+    verify_samples,
 )
 
 # ---------------------------------------------------------------------------
@@ -103,27 +103,17 @@ def builtin_R(name: str, map_: TwistedMap, n: int = 2) -> RMatrix:
     raise UnknownR(f"no built-in R-matrix named {name!r}")
 
 
-def _draw_points(map_: TwistedMap, rng, k: int):
-    return tuple(map_.domain.sample(rng) for _ in range(k))
-
-
 def verify_inverse(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Check R(phi(u,v), psi(u,v)) R(u,v) = 1 in spectral norm."""
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport("inverse", r.name, samples, seed, tol)
+    map_ = r.twisted_map
     eye = np.eye(r.n * r.n)
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            u, v = _draw_points(r.twisted_map, rng, 2)
-            try:
-                p, q = r.twisted_map.apply(u, v)
-                break
-            except NonGeneric:
-                continue
-        else:
-            raise NonGeneric("inverse check exhausted redraws")
-        rep.record(k, _specnorm(r(p, q) @ r(u, v) - eye))
-    return rep
+
+    def trial(rng):
+        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
+        p, q = map_.apply(u, v)
+        return _specnorm(r(p, q) @ r(u, v) - eye)
+
+    return verify_samples("inverse", r.name, samples, seed, tol, trial)
 
 
 def scattering(r: RMatrix, word, params):
@@ -154,24 +144,16 @@ def scattering(r: RMatrix, word, params):
 def verify_tybe(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Twisted Yang-Baxter relation: the words (1,2,1) and (2,1,2) must
     accumulate the same operator and the same final parameters."""
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport("tybe", r.name, samples, seed, tol)
     dom = r.twisted_map.domain
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            pts = _draw_points(r.twisted_map, rng, 3)
-            try:
-                left_op, left_pts = scattering(r, (1, 2, 1), pts)
-                right_op, right_pts = scattering(r, (2, 1, 2), pts)
-                break
-            except NonGeneric:
-                continue
-        else:
-            raise NonGeneric("tybe check exhausted redraws")
+
+    def trial(rng):
+        pts = tuple(dom.sample(rng) for _ in range(3))
+        left_op, left_pts = scattering(r, (1, 2, 1), pts)
+        right_op, right_pts = scattering(r, (2, 1, 2), pts)
         resid = _specnorm(left_op - right_op)
-        resid = max(resid, max(dom.distance(a, b) for a, b in zip(left_pts, right_pts)))
-        rep.record(k, resid)
-    return rep
+        return max(resid, max(dom.distance(a, b) for a, b in zip(left_pts, right_pts)))
+
+    return verify_samples("tybe", r.name, samples, seed, tol, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +206,18 @@ def verify_L(l_op: LOperator, r: RMatrix, samples: int = 100, seed: int = 0, tol
     V (x) V (x) W, residual relative to the larger side."""
     if l_op.n != r.n:
         raise SizeMismatch("L and R auxiliary dimensions differ")
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport("l_operator", f"{r.name}", samples, seed, tol)
+    map_ = r.twisted_map
     dims = [r.n, r.n, l_op.w]
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            u, v = _draw_points(r.twisted_map, rng, 2)
-            try:
-                p, q = r.twisted_map.apply(u, v)
-                break
-            except NonGeneric:
-                continue
-        else:
-            raise NonGeneric("L check exhausted redraws")
+
+    def trial(rng):
+        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
+        p, q = map_.apply(u, v)
         rmat = place(r(u, v), (0, 1), dims)
         lhs = rmat @ place(l_op(u), (0, 2), dims) @ place(l_op(v), (1, 2), dims)
         rhs = place(l_op(p), (0, 2), dims) @ place(l_op(q), (1, 2), dims) @ rmat
-        rep.record(k, _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs)))
-    return rep
+        return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
+
+    return verify_samples("l_operator", r.name, samples, seed, tol, trial)
 
 
 def compose_L(l_a: LOperator, l_b: LOperator) -> LOperator:
@@ -266,22 +242,15 @@ def q_of(l_op: LOperator, u) -> np.ndarray:
 
 def q_check(l_op: LOperator, map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Trace relation Q(u) Q(v) = Q(phi(u,v)) Q(psi(u,v)) on W."""
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport("q_operator", map_.name, samples, seed, tol)
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            u, v = _draw_points(map_, rng, 2)
-            try:
-                p, q = map_.apply(u, v)
-                break
-            except NonGeneric:
-                continue
-        else:
-            raise NonGeneric("Q check exhausted redraws")
+
+    def trial(rng):
+        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
+        p, q = map_.apply(u, v)
         lhs = q_of(l_op, u) @ q_of(l_op, v)
         rhs = q_of(l_op, p) @ q_of(l_op, q)
-        rep.record(k, _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs)))
-    return rep
+        return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
+
+    return verify_samples("q_operator", map_.name, samples, seed, tol, trial)
 
 
 # ---------------------------------------------------------------------------

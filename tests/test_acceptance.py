@@ -249,12 +249,16 @@ def test_criterion_09_gf_layer():
     _ok(9, "trivial GF system verifies; composite matches the block swap word action")
 
 
-def _cli(argv):
+def _cli_text(argv):
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_run(argv)
-    text = out.getvalue()
+    return code, out.getvalue()
+
+
+def _cli(argv):
+    code, text = _cli_text(argv)
     return code, json.loads(text) if text.strip().startswith("{") else None
 
 
@@ -296,12 +300,10 @@ def test_criterion_10_cli_determinism_and_exit_codes():
         ["gf-compose", "--gf", "trivial", "--base-map", "scalar_rational", "--m", "2", "--n", "2", "--samples", "20", "--seed", "11"],
     ]
     for argv in runs:
-        code1, rep1 = _cli(argv)
-        code2, rep2 = _cli(argv)
-        assert code1 == code2 == 0, (argv[0], code1, rep1 and rep1.get("error"))
-        rep1.pop("timing")
-        rep2.pop("timing")
-        assert rep1 == rep2, argv[0]
+        code1, out1 = _cli_text(argv)
+        code2, out2 = _cli_text(argv)
+        assert code1 == code2 == 0, (argv[0], code1, out1)
+        assert out1 == out2, argv[0]
     code, rep = _cli(["q-check", "--l", "diag_u", "--map", "scalar_rational", "--n", "2", "--samples", "10"])
     assert code == 1 and rep["status"] == "fail"
     code, rep = _cli(["factor-poly", "--in", '{"poly": {"m":2,"coeffs":[]}, "partition": []}'])

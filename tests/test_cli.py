@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from twistlab.cli import run
+from twistlab import matpoly
+from twistlab.cli import j2vec, run
+from twistlab.errors import SchemaError
 
 WORKED_PAIR = '{"a1": [[[1,0],[0,0]],[[0,0],[2,0]]], "a2": [[[3,0],[1,0]],[[0,0],[4,0]]]}'
 WORKED_POLY = (
@@ -15,14 +17,18 @@ WORKED_POLY = (
 )
 
 
-def invoke(argv):
+def run_text(argv):
     buf = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = run(argv)
-    out = buf.getvalue()
+    return code, buf.getvalue(), err.getvalue()
+
+
+def invoke(argv):
+    code, out, err = run_text(argv)
     report = json.loads(out) if out.strip().startswith("{") else None
-    return code, report, err.getvalue()
+    return code, report, err
 
 
 def test_verify_map_passes():
@@ -41,6 +47,36 @@ def test_pair_swap_worked_example():
     b2 = np.array(rep["artifacts"]["b2"])[..., 0] + 1j * np.array(rep["artifacts"]["b2"])[..., 1]
     assert np.allclose(b1, [[3, 2], [0, 4]], atol=1e-10)
     assert np.allclose(b2, [[1, -1], [0, 2]], atol=1e-10)
+
+
+def test_pair_swap_judges_its_residual(monkeypatch):
+    exact = matpoly.transpose_pair
+
+    def perturbed(a1, a2, tol):
+        b1, b2 = exact(a1, a2, tol=tol)
+        return b1 + 1e-3, b2
+
+    monkeypatch.setattr(matpoly, "transpose_pair", perturbed)
+    code, rep, _ = invoke(["pair-swap", "--in", WORKED_PAIR])
+    assert code == 1
+    assert rep["status"] == "fail"
+    assert rep["max_residual"] > 1e-8
+
+
+def test_j2vec_paths():
+    assert np.allclose(j2vec([[1, 2], [0, -1]], "v"), [1 + 2j, -1j])
+    with pytest.raises(SchemaError, match=r"^v: expected an array"):
+        j2vec({"re": 1}, "v")
+    with pytest.raises(SchemaError, match=r"^v\[1\]: expected finite"):
+        j2vec([[1, 0], [float("nan"), 0]], "v")
+
+
+def test_theta_interp_names_a_bad_vector():
+    payload = {"points": [[0.1, 0.2], [0.35, 0.3]], "vectors": [[[1, 0], [0, 0]], "x"]}
+    code, rep, _ = invoke(["theta-interp", "--m", "2", "--n", "1", "--in", json.dumps(payload)])
+    assert code == 2
+    assert rep["error"]["type"] == "SchemaError"
+    assert rep["error"]["message"].startswith("input.vectors[1]: expected an array")
 
 
 def test_factor_poly_invalid_partition_exit_2():
@@ -181,12 +217,11 @@ def test_determinism_per_subcommand(argv):
     argv = list(argv)
     if argv[0] == "theta-zeros":
         argv[2] = _theta_element_json()
-    code1, rep1, _ = invoke(argv)
-    code2, rep2, _ = invoke(argv)
+    code1, out1, _ = run_text(argv)
+    code2, out2, _ = run_text(argv)
     assert code1 == code2 == 0
-    rep1.pop("timing")
-    rep2.pop("timing")
-    assert rep1 == rep2
+    assert "timing" not in json.loads(out1)
+    assert out1 == out2
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab.errors import NullityMismatch, SumRuleViolated
+from twistlab import mtheta
+from twistlab.errors import NonGeneric, NullityMismatch, SumRuleViolated
 from twistlab.mtheta import (
     LatticeParams,
     MThetaBasis,
@@ -22,7 +23,7 @@ from twistlab.mtheta import (
     theta_mu,
     zero_sum_residual,
 )
-from twistlab.transpositions import verify_braid, verify_involution, word_permutation
+from twistlab.transpositions import MAX_REDRAW, verify_braid, verify_involution, word_permutation
 
 TAU = 1j
 C0 = 0.31 + 0.17j
@@ -328,3 +329,17 @@ def test_zero_sum_residual_measures_offsets():
     pts = [0.1 + 0.2j, complex(C0 + 0.5) - (0.1 + 0.2j)]
     assert zero_sum_residual(pts, params) < 1e-12
     assert zero_sum_residual([pts[0] + 0.07, pts[1]], params) > 0.05
+
+
+def test_theta_sample_redraws_failed_interpolations(monkeypatch):
+    calls = []
+
+    def failing(params, points, vectors):
+        calls.append(points)
+        raise NullityMismatch("interpolation nullity 2, expected 1")
+
+    monkeypatch.setattr(mtheta, "interpolate", failing)
+    with pytest.raises(NonGeneric, match=f"after {MAX_REDRAW} draws"):
+        ThetaDomain(1, TAU).sample(np.random.default_rng(0))
+    assert len(calls) == MAX_REDRAW
+    assert len({tuple(p) for p in calls}) == MAX_REDRAW

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from twistlab.errors import UnknownMap
+from twistlab.errors import NonGeneric, UnknownMap
 from twistlab.matpoly import pair_map
 from twistlab.transpositions import (
+    MAX_REDRAW,
+    ScalarDomain,
+    TwistedMap,
     act,
     adjacent_word,
     builtin_map,
@@ -13,6 +16,7 @@ from twistlab.transpositions import (
     verify_involution,
     word_permutation,
 )
+from twistlab.ybe import builtin_L, builtin_R, q_check, verify_inverse, verify_L, verify_tybe
 
 
 def test_scalar_rational_worked_value():
@@ -181,3 +185,32 @@ def test_compose_permutations_convention():
     s2 = [2, 0, 1]
     comp = compose_permutations(s2, s1)
     assert comp == [s2[s1[i]] for i in range(3)]
+
+
+class CountingDomain(ScalarDomain):
+    def __init__(self):
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        return super().sample(rng)
+
+
+@pytest.mark.parametrize(
+    "verify,points",
+    [
+        (lambda mp: verify_involution(mp, samples=3), 2),
+        (lambda mp: verify_braid(mp, samples=3), 3),
+        (lambda mp: verify_inverse(builtin_R("relabel_id", mp), samples=3), 2),
+        (lambda mp: verify_tybe(builtin_R("relabel_swap", mp), samples=3), 3),
+        (lambda mp: verify_L(builtin_L("constant"), builtin_R("relabel_id", mp), samples=3), 2),
+        (lambda mp: q_check(builtin_L("constant"), mp, samples=3), 2),
+    ],
+    ids=["involution", "braid", "inverse", "tybe", "l_operator", "q_operator"],
+)
+def test_redraw_cap(verify, points):
+    dom = CountingDomain()
+    never = TwistedMap("never_generic", dom, lambda u, v: (v, u), lambda u, v: False)
+    with pytest.raises(NonGeneric, match=f"after {MAX_REDRAW} draws"):
+        verify(never)
+    assert dom.draws == points * MAX_REDRAW
