@@ -27,6 +27,7 @@ symmetric-group action on factor tuples.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -156,10 +157,20 @@ class MThetaBasis:
         g1, g2 = clifford_pair(m)
         mono = [np.linalg.matrix_power(g1, i) @ np.linalg.matrix_power(g2, k) for i in range(m) for k in range(m)]
         self._mono = np.repeat(np.reshape(mono, (m * m, m * m)), n, axis=0)
-        self._probes = np.array([f1 + f2 * p.tau for f1, f2 in _PROBE_FRACS])
-        # largest Frobenius norm of an element at the probes; each value is
-        # a series times a monomial with m unit entries
-        self._probe_scale = float(np.sqrt(m) * np.abs(self.series(self._probes)).max())
+        # probes in the (1, tau) cell normalize residuals; those in the
+        # (1/m, tau/m) cell, where interpolation rows are evaluated, set
+        # the row floor
+        probes = np.array([f1 + f2 * p.tau for f1, f2 in _PROBE_FRACS])
+        th = self.series(np.concatenate([probes, probes / m]))
+        self._probe_series = th[:, : len(_PROBE_FRACS)]
+        # largest Frobenius norm of an element at the small-cell probes;
+        # each value is a series times a monomial with m unit entries
+        self._probe_scale = float(np.sqrt(m) * np.abs(th[:, len(_PROBE_FRACS) :]).max())
+
+    def slots(self):
+        """Where each term sits: the monomial a m + b of its element,
+        (dim, 1), and its integer wavenumber, (dim, T)."""
+        return (np.arange(self.dim) // self.params.n)[:, None], np.rint(self.ks).astype(np.int64)
 
     @property
     def terms(self) -> int:
@@ -186,7 +197,14 @@ class MThetaBasis:
 
     def eval(self, x, zs) -> np.ndarray:
         """Matrix values of the combination with coefficients x: (P, m, m)."""
-        th = self.series(zs) * np.asarray(x, dtype=np.complex128)[:, None]
+        return self._combine(x, self.series(zs))
+
+    def at_probes(self, x) -> np.ndarray:
+        """Matrix values of the combination x at the (1, tau)-cell probes."""
+        return self._combine(x, self._probe_series)
+
+    def _combine(self, x, th) -> np.ndarray:
+        th = th * np.asarray(x, dtype=np.complex128)[:, None]
         m = self.params.m
         return (th.T @ self._mono).reshape(-1, m, m)
 
@@ -236,21 +254,22 @@ def random_element(params: LatticeParams, rng) -> ThetaElement:
 # lattice bookkeeping
 
 
-def _lattice_solve(w: complex, o1: complex, o2: complex) -> np.ndarray:
-    mat = np.array([[o1.real, o2.real], [o1.imag, o2.imag]], dtype=float)
-    return np.linalg.solve(mat, [w.real, w.imag])
+def _lattice_solve(w: complex, o1: complex, o2: complex) -> tuple[float, float]:
+    """Coordinates (x, y) with w = x o1 + y o2, by Cramer's rule."""
+    det = o1.real * o2.imag - o2.real * o1.imag
+    return (
+        (w.real * o2.imag - w.imag * o2.real) / det,
+        (o1.real * w.imag - o1.imag * w.real) / det,
+    )
 
 
 def lattice_distance(w: complex, o1: complex, o2: complex) -> float:
     """Distance from w to the lattice generated by o1 and o2."""
-    xy = _lattice_solve(complex(w), complex(o1), complex(o2))
-    frac = xy - np.round(xy)
-    best = np.inf
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            cand = (frac[0] + dx) * o1 + (frac[1] + dy) * o2
-            best = min(best, abs(cand))
-    return float(best)
+    o1, o2 = complex(o1), complex(o2)
+    x, y = _lattice_solve(complex(w), o1, o2)
+    x -= round(x)
+    y -= round(y)
+    return min(abs((x + dx) * o1 + (y + dy) * o2) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 def modular_distance(a: complex, b: complex, o1: complex, o2: complex) -> float:
@@ -258,9 +277,9 @@ def modular_distance(a: complex, b: complex, o1: complex, o2: complex) -> float:
 
 
 def reduce_to_cell(z: complex, o1: complex, o2: complex) -> complex:
-    xy = _lattice_solve(complex(z), complex(o1), complex(o2))
-    xy -= np.floor(xy)
-    return xy[0] * o1 + xy[1] * o2
+    o1, o2 = complex(o1), complex(o2)
+    x, y = _lattice_solve(complex(z), o1, o2)
+    return (x - math.floor(x)) * o1 + (y - math.floor(y)) * o2
 
 
 def zero_sum_residual(points, params: LatticeParams) -> float:
@@ -286,7 +305,9 @@ def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
 
     Coarse scan of |det f| (normalized by the theta growth envelope so
     local minima are meaningful at every height), Newton refinement of
-    det f with central-difference derivatives, then modular dedup.
+    det f with central-difference derivatives, then modular dedup that
+    keeps, of the roots found in one class, the one with the smallest
+    normalized |det f|.
     """
     p = f.params
     o1, o2 = p.omega1, p.omega2
@@ -316,6 +337,7 @@ def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
         flat_order = np.argsort(ng.ravel())
         seeds.extend(zs[flat_order[: 2 * expected + 4]])
         roots: list[complex] = []
+        sizes: list[float] = []
         step = 1e-6
         for z0 in seeds:
             z = complex(z0)
@@ -340,8 +362,12 @@ def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
             )
             if local > 1e-7 * scale0:
                 continue
-            if all(modular_distance(zc, r, o1, o2) > CELL_GATE for r in roots):
+            same = [i for i, r in enumerate(roots) if modular_distance(zc, r, o1, o2) <= CELL_GATE]
+            if not same:
                 roots.append(zc)
+                sizes.append(local)
+            elif local < sizes[same[0]]:
+                roots[same[0]], sizes[same[0]] = zc, local
         if len(roots) == expected:
             break
         g *= 2
@@ -383,6 +409,11 @@ def interpolate(
     homogeneous linear system over the basis coefficients must then have
     a one-dimensional nullspace.  side="left" prescribes left kernel
     vectors instead: v_k^T f(p_k) = 0.
+
+    Each point p = w + s/m + q tau/m is first moved to w in the
+    (1/m, tau/m) cell.  By the two laws f(p) is a scalar times
+    M^{-1} f(w) M with M = gamma_1^s gamma_2^q, so the conditions become
+    f(w) M v = 0, or (M^{-T} v)^T f(w) = 0 on the left.
     """
     p = params
     points = [complex(z) for z in points]
@@ -397,14 +428,22 @@ def interpolate(
     if sr > sum_tol:
         raise SumRuleViolated(f"prescribed zeros miss the sum congruence by {sr:.2e}")
     basis = mtheta_basis(p)
-    beval = basis.eval_basis(np.array(points))
+    m, o1, o2 = p.m, p.omega1, p.omega2
+    ws, us = [], []
+    for z, v in zip(points, vectors):
+        x, y = _lattice_solve(z, o1, o2)
+        s, q = math.floor(x), math.floor(y)
+        ws.append(z - s * o1 - q * o2)
+        # M is unitary, so M^{-T} = conj(M) and both keep |v| = 1
+        mono = basis._mono[((s % m) * m + q % m) * p.n].reshape(m, m)
+        us.append((mono if side == "right" else mono.conj()) @ (v / np.linalg.norm(v)))
+    beval = basis.eval_basis(np.array(ws))
     rows = []
-    for beta in range(len(points)):
-        v = vectors[beta] / np.linalg.norm(vectors[beta])
+    for beta, u in enumerate(us):
         if side == "right":
-            block = np.einsum("dij,j->id", beval[:, beta], v)
+            block = np.einsum("dij,j->id", beval[:, beta], u)
         else:
-            block = np.einsum("i,dij->jd", v, beval[:, beta])
+            block = np.einsum("i,dij->jd", u, beval[:, beta])
         # scale by the size of the terms entering the cancellation so the
         # genuinely null direction stays null after row balancing; the
         # floor keeps rows that are tiny outright (the 1x1 scalar case)
@@ -417,18 +456,14 @@ def interpolate(
     nullity = int(np.sum(sv <= rank_rtol * anchor))
     if nullity != 1:
         raise NullityMismatch(f"interpolation nullity {nullity}, expected 1")
-    x = vh[-1].conj()
-    elem = ThetaElement(p, x, zeros=tuple(points)).normalized()
-    vals = elem.eval(np.array(points))
-    scale = float(
-        max(np.linalg.norm(b) for b in elem.eval(basis._probes))
-    )
-    def _resid(k):
-        v = vectors[k] / np.linalg.norm(vectors[k])
-        if side == "right":
-            return float(np.linalg.norm(vals[k] @ v))
-        return float(np.linalg.norm(v @ vals[k]))
-    worst = max(_resid(k) for k in range(len(points))) / max(scale, 1e-300)
+    elem = ThetaElement(p, vh[-1].conj(), zeros=tuple(points)).normalized()
+    vals = np.einsum("d,dpij->pij", elem.coeffs, beval)
+    scale = float(np.linalg.norm(basis.at_probes(elem.coeffs), axis=(1, 2)).max())
+    if side == "right":
+        worst = max(float(np.linalg.norm(val @ u)) for val, u in zip(vals, us))
+    else:
+        worst = max(float(np.linalg.norm(u @ val)) for val, u in zip(vals, us))
+    worst /= max(scale, 1e-300)
     if worst > resid_tol:
         raise ResidualTooLarge(f"interpolation residual {worst:.2e} above {resid_tol:.0e}")
     return elem
@@ -478,19 +513,70 @@ def fit_element(
     return ThetaElement(params, x)
 
 
+def _monomial_rows(f: ThetaElement):
+    """Fourier coefficients of f grouped by monomial: row a m + b holds
+    those of f_ab at the integer wavenumbers k0, k0 + 1, ...; returns
+    (rows, k0)."""
+    basis = f.basis()
+    mono, ks = basis.slots()
+    k0 = int(ks.min())
+    rows = np.zeros((f.params.m ** 2, int(ks.max()) - k0 + 1), dtype=np.complex128)
+    # the wavenumbers of one monomial's n series are disjoint
+    rows[mono, ks - k0] = f.coeffs[:, None] * basis.coeffs
+    return rows, k0
+
+
+def _monomial_products(m: int):
+    """For monomials r = a m + b and t = a' m + b', the t with
+    gamma_1^a gamma_2^b gamma_1^a' gamma_2^b' a multiple of monomial R,
+    indexed [r, R], and that multiple eps^{b a'}."""
+    a, b = np.divmod(np.arange(m * m), m)
+    other = ((a[None, :] - a[:, None]) % m) * m + (b[None, :] - b[:, None]) % m
+    return other, np.exp(2j * np.pi / m * (b[:, None] * a[other] % m))
+
+
 def multiply_elements(f: ThetaElement, g: ThetaElement, resid_tol: float = 1e-8) -> ThetaElement:
-    """Pointwise product fitted into the degree-(n_f + n_g) space."""
+    """The pointwise product f g in the degree-(n_f + n_g) space, exact.
+
+    Since gamma_1^a gamma_2^b gamma_1^a' gamma_2^b' =
+    eps^{b a'} gamma_1^{a + a'} gamma_2^{b + b'}, the Fourier coefficients
+    of the product along each monomial are sums of convolutions of those
+    of the factors.  Each product element (A, B, s) owns the wavenumbers
+    B + m s + m (n_f + n_g) j, and its coordinate is the least-squares
+    ratio of the product's coefficients to its own over them, weighted
+    by their size.  The relative residual of h against f g at the probe
+    points certifies the result.
+    """
     if f.params.m != g.params.m or f.params.tau != g.params.tau:
         raise PartitionInvalid("product factors must share m and tau")
     pr = LatticeParams(tau=f.params.tau, m=f.params.m, n=f.params.n + g.params.n, c=f.params.c + g.params.c)
-
-    def fn(zs):
-        return np.matmul(f.eval(zs), g.eval(zs))
-
+    m = pr.m
+    rf, kf = _monomial_rows(f)
+    rg, kg = _monomial_rows(g)
+    nf, ng = rf.shape[1], rg.shape[1]
+    width = nf + ng - 1
+    # conv[t, K, r] = sum_i rf[r, i] rg[t, K - i]: one product with the
+    # Toeplitz matrices of the rows of g
+    padded = np.concatenate([np.zeros((m * m, nf - 1)), rg, np.zeros((m * m, nf - 1))], axis=1)
+    toeplitz = padded[:, np.arange(width)[:, None] + np.arange(nf - 1, -1, -1)]
+    conv = (toeplitz.reshape(-1, nf) @ rf.T).reshape(m * m, width, m * m)
+    other, weight = _monomial_products(m)
+    rows = np.einsum("rR,rRK->RK", weight, conv[other, :, np.arange(m * m)[:, None]])
+    basis = mtheta_basis(pr)
+    mono, ks = basis.slots()
+    idx = ks - (kf + kg)
+    h = np.where((idx >= 0) & (idx < width), rows[mono, np.clip(idx, 0, width - 1)], 0)
+    c = basis.coeffs
+    x = (c.conj() * h).sum(axis=1) / (np.abs(c) ** 2).sum(axis=1)
+    ref = np.matmul(f.basis().at_probes(f.coeffs), g.basis().at_probes(g.coeffs))
+    err = np.linalg.norm(basis.at_probes(x) - ref, axis=(1, 2))
+    resid = float((err / np.maximum(np.linalg.norm(ref, axis=(1, 2)), 1e-300)).max())
+    if resid > resid_tol:
+        raise ResidualTooLarge(f"product residual {resid:.2e} above {resid_tol:.0e}")
     zeros = None
     if f.zeros is not None and g.zeros is not None:
         zeros = tuple(f.zeros) + tuple(g.zeros)
-    return fit_element(pr, fn, resid_tol=resid_tol).with_zeros(zeros)
+    return ThetaElement(pr, x, zeros)
 
 
 def _quotient_fit(h: ThetaElement, right: ThetaElement, out_params: LatticeParams, resid_tol: float = 1e-6) -> ThetaElement:
@@ -558,9 +644,10 @@ def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
     # h = f1 g1 with the zero sets exchanged: right kernels of h at S(f)
     # are right kernels of g1, left kernels of h at S(g) are left kernels
     # of f1, so both factors come from well-conditioned interpolations.
-    vs = [_kernel_vector(h.eval(np.array([z]))[0], p.m) for z in f.zeros]
+    hv = h.eval(np.array(f.zeros + g.zeros))
+    vs = [_kernel_vector(val, p.m) for val in hv[: p.m]]
     g1 = interpolate(LatticeParams(tau=p.tau, m=p.m, n=1, c=f.params.c), f.zeros, vs)
-    ws = [_kernel_vector(h.eval(np.array([z]))[0], p.m, side="left") for z in g.zeros]
+    ws = [_kernel_vector(val, p.m, side="left") for val in hv[p.m :]]
     f1 = interpolate(
         LatticeParams(tau=p.tau, m=p.m, n=1, c=g.params.c), g.zeros, ws, side="left"
     )

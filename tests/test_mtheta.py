@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import mtheta
-from twistlab.errors import NonGeneric, NullityMismatch, SumRuleViolated
+from twistlab.errors import NonGeneric, NullityMismatch, ResidualTooLarge, SumRuleViolated
 from twistlab.mtheta import (
     LatticeParams,
     MThetaBasis,
@@ -15,6 +15,7 @@ from twistlab.mtheta import (
     det_zeros,
     factorize_theta,
     interpolate,
+    lattice_distance,
     modular_distance,
     mtheta_basis,
     multiply_elements,
@@ -343,3 +344,171 @@ def test_theta_sample_redraws_failed_interpolations(monkeypatch):
         ThetaDomain(1, TAU).sample(np.random.default_rng(0))
     assert len(calls) == MAX_REDRAW
     assert len({tuple(p) for p in calls}) == MAX_REDRAW
+
+
+def _vanishing(f, z, v, side):
+    """|f(z) v| / (|f(z)| |v|) (or v^T f(z) on the left) at any z: where
+    f(z) overflows, z = w + s/m + q tau/m is moved to w with the laws,
+    f(z) being a scalar times M^{-1} f(w) M for M = gamma_1^s gamma_2^q."""
+    m, tau = f.params.m, f.params.tau
+    mono = np.eye(m)
+    with np.errstate(all="ignore"):
+        val = f.eval(np.array([z]))[0]
+    if not np.isfinite(val).all():
+        q = int(np.floor((m * z).imag / tau.imag))
+        s = int(np.floor((m * z - q * tau).real))
+        g1, g2 = clifford_pair(m)
+        mono = np.linalg.matrix_power(g1, s % m) @ np.linalg.matrix_power(g2, q % m)
+        val = np.linalg.inv(mono) @ f.eval(np.array([z - (s + q * tau) / m]))[0] @ mono
+    res = val @ v if side == "right" else v @ val
+    return np.linalg.norm(res) / (np.linalg.norm(val) * np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("y", [2, 4, 8, 16])
+def test_interpolate_points_outside_the_cell(y, side):
+    # the points lie y above and below the cell; at y = 8 and 16 the
+    # values there overflow, so vanishing is checked through the laws
+    params = LatticeParams(tau=1j, m=2, n=1, c=0.3 + 0.2j)
+    z1 = 0.1 + 0.2j + y * 1j
+    pts = [z1, params.c + 0.5 - z1]
+    vs = [np.array([1.0, 0.4 + 0.2j]), np.array([0.3, 1.0])]
+    f = interpolate(params, pts, vs, side=side)
+    assert f.zeros == tuple(pts)
+    assert max(_vanishing(f, z, v, side) for z, v in zip(pts, vs)) < 1e-12
+    # the same conditions moved into the cell by hand give the same element
+    g1, _ = clifford_pair(2)
+    moved = [0.1 + 0.2j, pts[1] - 0.5 + y * 1j]
+    u = g1 @ vs[1] if side == "right" else np.linalg.inv(g1).T @ vs[1]
+    ref = interpolate(params, moved, [vs[0], u], side=side)
+    assert ThetaDomain(2, 1j).distance(f, ref) < 1e-12
+
+
+@pytest.mark.parametrize("m,n,tau", [(3, 3, 1j), (4, 3, 1j), (4, 3, 2j)])
+def test_interpolate_round_trips_at_large_sizes(m, n, tau):
+    # the row floor comes from the (1/m, tau/m) cell, where the rows are
+    rng = np.random.default_rng(m * 10 + n)
+    dom = ThetaDomain(m, tau)
+    for _ in range(20):
+        params = LatticeParams(tau=tau, m=m, n=n, c=complex(*rng.uniform(-1, 1, 2)))
+        f = random_element(params, rng)
+        zs = det_zeros(f).points
+        vs = [_kernel_vector(val, m) for val in f.eval(np.array(zs))]
+        assert dom.distance(f, interpolate(params, zs, vs)) < 1e-9
+
+
+# the (1, 3) element of one benchmark round whose zero, found first by a
+# Newton walk three cells up, was once kept over the exact one found later
+N3_PARAMS = LatticeParams(tau=1j, m=1, n=3, c=0.375 - 0.125j)
+N3_COEFFS = np.array([0.8750296528537922 - 0.19578470064503045j, 0.619533222408183 - 0.09024238744208211j, 1.0])
+N3_ZEROS = (
+    0.5444382131407922 + 0.14258459624096398j,
+    0.9198448950471914 + 0.6107134500115344j,
+    0.41071689181201654 + 0.12170195374750159j,
+)
+
+
+def _zero_error(found, prescribed):
+    return max(min(modular_distance(a, b, 1.0, 1j) for b in found) for a in prescribed)
+
+
+def test_det_zeros_regression_walk_across_cells():
+    zs = det_zeros(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS)).points
+    assert len(zs) == 3
+    assert _zero_error(zs, N3_ZEROS) < 1e-12
+
+
+def test_det_zeros_keeps_the_better_root(monkeypatch):
+    # the first converged root is moved 1e-9 off; a later start finds the
+    # same zero exactly and must replace it
+    reduce = mtheta.reduce_to_cell
+    calls = []
+
+    def first_off(z, o1, o2):
+        calls.append(z)
+        return reduce(z, o1, o2) + (1e-9 if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(mtheta, "reduce_to_cell", first_off)
+    zs = det_zeros(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS)).points
+    assert _zero_error(zs, N3_ZEROS) < 1e-12
+
+
+def _relative_product_error(f, g, h, zs):
+    ref = np.matmul(f.eval(zs), g.eval(zs))
+    val = h.eval(zs)
+    assert np.isfinite(ref).all() and np.isfinite(val).all()
+    return float((np.linalg.norm(val - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 4),
+    nf=st.integers(1, 2),
+    ng=st.integers(1, 2),
+    re_tau=st.floats(-0.5, 0.5),
+    im_tau=st.floats(0.3, 3.0),
+    cs=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_product_is_exact_over_the_box(m, nf, ng, re_tau, im_tau, cs, seed):
+    if nf + ng > 3:
+        ng = 3 - nf
+    tau = complex(re_tau, im_tau)
+    rng = np.random.default_rng(seed)
+    f = random_element(LatticeParams(tau=tau, m=m, n=nf, c=complex(cs[0] / 4, cs[1])), rng)
+    g = random_element(LatticeParams(tau=tau, m=m, n=ng, c=complex(cs[2] / 4, cs[3])), rng)
+    h = multiply_elements(f, g)
+    assert h.params.n == nf + ng and h.params.c == f.params.c + g.params.c
+    # points in the strip below the cell, in it and in the one above
+    zs = rng.random(12) + (rng.random(12) * 3 - 1) * tau / m
+    assert _relative_product_error(f, g, h, zs) < 1e-12
+
+
+def test_product_and_exchange_need_no_fit(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled fit called")
+
+    monkeypatch.setattr(mtheta, "fit_element", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    rng = np.random.default_rng(15)
+    dom = ThetaDomain(2, TAU)
+    f, g = dom.sample(rng), dom.sample(rng)
+    h = multiply_elements(f, g)
+    zs = np.array([0.11 + 0.21j, 0.42 + 0.62j, 0.77 + 0.37j])
+    assert _relative_product_error(f, g, h, zs) < 1e-12
+    f1, g1 = theta_mu(f, g)
+    assert f1.zeros == g.zeros and g1.zeros == f.zeros
+
+
+def test_product_certificate_rejects_a_wrong_product(monkeypatch):
+    # a product whose coordinates miss f g must fail its probe residual
+    rng = np.random.default_rng(16)
+    f = random_element(LatticeParams(tau=TAU, m=2, n=1, c=C0), rng)
+    g = random_element(LatticeParams(tau=TAU, m=2, n=1, c=C0), rng)
+    rows = mtheta._monomial_rows
+
+    def perturbed(elem):
+        r, k0 = rows(elem)
+        return r * (1 + 1e-6 * (elem is g)), k0
+
+    monkeypatch.setattr(mtheta, "_monomial_rows", perturbed)
+    multiply_elements(f, g, resid_tol=1e-5)
+    with pytest.raises(ResidualTooLarge, match="product residual"):
+        multiply_elements(f, g)
+
+
+def _lattice_distance_numpy(w, o1, o2):
+    mat = np.array([[o1.real, o2.real], [o1.imag, o2.imag]], dtype=float)
+    xy = np.linalg.solve(mat, [w.real, w.imag])
+    frac = xy - np.round(xy)
+    return min(abs((frac[0] + dx) * o1 + (frac[1] + dy) * o2) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def test_lattice_distance_matches_numpy_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        m = int(rng.integers(1, 5))
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3.0))
+        w = complex(*rng.uniform(-2, 2, 2))
+        for o1, o2 in ((1.0 / m, tau / m), (1.0, tau)):
+            assert abs(lattice_distance(w, o1, o2) - _lattice_distance_numpy(w, o1, o2)) < 1e-15
