@@ -316,7 +316,12 @@ def cmd_theta_zeros(args):
     elem = j2theta(load_json(args.infile), "input")
     tol = max(args.tol, 1e-6)
     zs = mtheta.det_zeros(elem, tol=tol)
-    artifacts = {"zeros": [c2j(z) for z in zs.points], "sum_residual": zs.sum_residual}
+    artifacts = {
+        "zeros": [c2j(z) for z in zs.points],
+        "sum_residual": zs.sum_residual,
+        "grid": zs.grid,
+        "newton_steps": zs.newton_steps,
+    }
     return report_body(artifacts, zs.sum_residual, tol)
 
 

@@ -272,14 +272,24 @@ def lattice_distance(w: complex, o1: complex, o2: complex) -> float:
     return min(abs((x + dx) * o1 + (y + dy) * o2) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
+def _lattice_distances(w: np.ndarray, o1: complex, o2: complex) -> np.ndarray:
+    """lattice_distance elementwise over an array; the scalar form stays
+    for the many single-pair gates, where numpy's overhead would dominate."""
+    x, y = _lattice_solve(w, o1, o2)
+    dx = (x - np.rint(x))[..., None, None] + np.arange(-1, 2)[:, None]
+    dy = (y - np.rint(y))[..., None, None] + np.arange(-1, 2)
+    return np.abs(dx * o1 + dy * o2).min(axis=(-2, -1))
+
+
 def modular_distance(a: complex, b: complex, o1: complex, o2: complex) -> float:
     return lattice_distance(complex(a) - complex(b), o1, o2)
 
 
-def reduce_to_cell(z: complex, o1: complex, o2: complex) -> complex:
+def reduce_to_cell(z, o1: complex, o2: complex):
+    """Representatives of z in the cell {s o1 + t o2 : 0 <= s, t < 1}."""
     o1, o2 = complex(o1), complex(o2)
-    x, y = _lattice_solve(complex(z), o1, o2)
-    return (x - math.floor(x)) * o1 + (y - math.floor(y)) * o2
+    x, y = _lattice_solve(np.asarray(z, dtype=np.complex128), o1, o2)
+    return (x - np.floor(x)) * o1 + (y - np.floor(y)) * o2
 
 
 def zero_sum_residual(points, params: LatticeParams) -> float:
@@ -298,87 +308,109 @@ def zero_sum_residual(points, params: LatticeParams) -> float:
 class ZeroSet:
     points: tuple
     sum_residual: float
+    grid: int  # side of the scan grid that found the zeros
+    newton_steps: int  # batched Newton iterations over all scans
+
+
+_NEWTON_CAP = 60
+_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+
+
+def _normalized_det(f: ThetaElement, zs) -> np.ndarray:
+    """|det f| over the growth envelope exp(pi m n (Im m z)^2 / Im tau),
+    so that values compare across heights in the cell."""
+    p = f.params
+    return np.abs(f.det(zs)) / np.exp(np.pi * p.m * p.n * np.imag(p.m * zs) ** 2 / p.tau.imag)
+
+
+def _newton_roots(f: ThetaElement, zs: np.ndarray, limit: float):
+    """Central-difference Newton on det f from every start at once, one
+    det call on 3 points per active start and step.  A start retires when
+    its step drops below 1e-12 (converged), exceeds limit, is not finite,
+    or its derivative vanishes.  Returns the converged roots, in start
+    order, and the number of steps taken."""
+    h = 1e-6  # central-difference step
+    z = np.array(zs, dtype=np.complex128)
+    active = np.arange(len(z))
+    converged = np.zeros(len(z), dtype=bool)
+    steps = 0
+    while active.size and steps < _NEWTON_CAP:
+        steps += 1
+        za = z[active]
+        # a start that walks far out overflows det f; its step is then
+        # not finite and it retires below
+        with np.errstate(over="ignore", invalid="ignore"):
+            g0, gp, gm = f.det(np.concatenate([za, za + h, za - h])).reshape(3, -1)
+            deriv = (gp - gm) / (2 * h)
+            live = deriv != 0
+            dz = g0 / np.where(live, deriv, 1)
+        z[active] = za - dz
+        size = np.abs(dz)
+        done = live & (size < 1e-12)
+        converged[active[done]] = True
+        # a non-finite step fails this comparison too
+        active = active[live & ~done & (size <= limit)]
+    return z[converged], steps
 
 
 def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
     """Locate the m n determinant zeros in the fundamental cell.
 
-    Coarse scan of |det f| (normalized by the theta growth envelope so
-    local minima are meaningful at every height), Newton refinement of
-    det f with central-difference derivatives, then modular dedup that
-    keeps, of the roots found in one class, the one with the smallest
-    normalized |det f|.
+    Scan: |det f| on a grid x grid mesh of the (1/m, tau/m) cell,
+    normalized by the theta growth envelope so local minima are
+    meaningful at every height.  The Newton starts are the grid's
+    periodic 8-neighbour local minima and its 2 m n + 4 smallest cells.
+
+    Newton: central differences on all starts at once (`_newton_roots`),
+    at most 60 steps.  Converged roots are moved into the cell, and a
+    root is kept only where its normalized |det f| is at most 1e-7 of
+    the scan's largest.
+
+    Dedup: roots closer than CELL_GATE modulo the cell form one class,
+    and each class keeps its root with the smallest normalized |det f|.
+    If the classes do not number m n, the grid doubles, up to twice.
+    The zeros come back ordered by their lattice coordinates.
     """
     p = f.params
     o1, o2 = p.omega1, p.omega2
     expected = p.m * p.n
     g = int(grid)
-    cell_size = abs(o1) + abs(o2)
+    steps = 0
     for _ in range(3):
         xs = (np.arange(g) + 0.5) / g
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         zs = (gx * o1 + gy * o2).ravel()
-        dets = f.det(zs)
-        env = np.exp(np.pi * p.m * p.n * (np.imag(p.m * zs)) ** 2 / p.tau.imag)
-        ng = (np.abs(dets) / env).reshape(g, g)
+        ng = _normalized_det(f, zs).reshape(g, g)
         scale0 = float(ng.max())
-        seeds = []
-        for i in range(g):
-            for j in range(g):
-                v = ng[i, j]
-                neighbors = (
-                    ng[(i + di) % g, (j + dj) % g]
-                    for di in (-1, 0, 1)
-                    for dj in (-1, 0, 1)
-                    if (di, dj) != (0, 0)
-                )
-                if all(v <= nb for nb in neighbors):
-                    seeds.append(xs[i] * o1 + xs[j] * o2)
-        flat_order = np.argsort(ng.ravel())
-        seeds.extend(zs[flat_order[: 2 * expected + 4]])
-        roots: list[complex] = []
-        sizes: list[float] = []
-        step = 1e-6
-        for z0 in seeds:
-            z = complex(z0)
-            converged = False
-            for _ in range(60):
-                g0, gp, gm = f.det(np.array([z, z + step, z - step]))
-                deriv = (gp - gm) / (2 * step)
-                if deriv == 0:
-                    break
-                dz = g0 / deriv
-                z -= dz
-                if abs(dz) < 1e-12:
-                    converged = True
-                    break
-                if abs(dz) > 3 * cell_size:
-                    break
-            if not converged:
-                continue
-            zc = reduce_to_cell(z, o1, o2)
-            local = abs(f.det(np.array([zc]))[0]) / np.exp(
-                np.pi * p.m * p.n * (np.imag(p.m * zc)) ** 2 / p.tau.imag
-            )
-            if local > 1e-7 * scale0:
-                continue
-            same = [i for i, r in enumerate(roots) if modular_distance(zc, r, o1, o2) <= CELL_GATE]
-            if not same:
-                roots.append(zc)
-                sizes.append(local)
-            elif local < sizes[same[0]]:
-                roots[same[0]], sizes[same[0]] = zc, local
+        # local minima, then the smallest cells; a mask rather than
+        # np.union1d, whose np.unique imports numpy.ma (1 MB)
+        start = np.logical_and.reduce([ng <= np.roll(ng, s, axis=(0, 1)) for s in _NEIGHBOURS]).ravel()
+        start[np.argsort(ng, axis=None)[: 2 * expected + 4]] = True
+        found, taken = _newton_roots(f, zs[start], 3 * (abs(o1) + abs(o2)))
+        steps += taken
+        roots = reduce_to_cell(found, o1, o2)
+        local = _normalized_det(f, roots)
+        order = np.argsort(local, kind="stable")
+        roots = roots[order][local[order] <= 1e-7 * scale0]
+        near = _lattice_distances(roots[:, None] - roots[None, :], o1, o2) <= CELL_GATE
+        free = np.ones(len(roots), dtype=bool)
+        kept = []
+        while free.any():
+            best = int(np.argmax(free))
+            kept.append(best)
+            free &= ~near[best]
+        roots = roots[kept]
         if len(roots) == expected:
             break
         g *= 2
     else:
         raise ZeroCountMismatch(f"found {len(roots)} determinant zeros, expected {expected}")
-    coords = [tuple(_lattice_solve(r, o1, o2)) for r in roots]
-    roots = [r for _, r in sorted(zip(coords, roots), key=lambda t: t[0])]
+    x, y = _lattice_solve(roots, o1, o2)
+    roots = roots[np.lexsort((y, x))]
     sr = zero_sum_residual(roots, p)
     if sr > tol:
         raise SumRuleViolated(f"zero sum misses the lattice congruence by {sr:.2e}")
-    return ZeroSet(tuple(roots), sr)
+    return ZeroSet(tuple(roots.tolist()), sr, g, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,17 @@ def test_theta_interp_and_zeros_round_trip():
     )
     assert code == 0
     elem = rep["artifacts"]["element"]
-    code, rep, _ = invoke(["theta-zeros", "--in", json.dumps(elem)])
+    argv = ["theta-zeros", "--in", json.dumps(elem)]
+    code, out, _ = run_text(argv)
     assert code == 0
-    zeros = [complex(z[0], z[1]) for z in rep["artifacts"]["zeros"]]
+    assert run_text(argv)[1] == out
+    art = json.loads(out)["artifacts"]
+    zeros = [complex(z[0], z[1]) for z in art["zeros"]]
     for z in lam:
         assert min(abs(z - w) for w in zeros) < 1e-6
+    assert art["grid"] == 48
+    assert 0 < art["newton_steps"] <= 60
+    assert art["sum_residual"] < 1e-6
 
 
 def test_theta_mu_cli():

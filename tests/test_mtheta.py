@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistlab import mtheta
@@ -419,18 +419,75 @@ def test_det_zeros_regression_walk_across_cells():
 
 
 def test_det_zeros_keeps_the_better_root(monkeypatch):
-    # the first converged root is moved 1e-9 off; a later start finds the
-    # same zero exactly and must replace it
+    # det_zeros moves all converged roots into the cell in one call; the
+    # first of them is moved 1e-9 off, another start finds the same zero
+    # exactly and must win its class
     reduce = mtheta.reduce_to_cell
     calls = []
 
     def first_off(z, o1, o2):
         calls.append(z)
-        return reduce(z, o1, o2) + (1e-9 if len(calls) == 1 else 0)
+        out = reduce(z, o1, o2)
+        if len(calls) == 1:
+            out[0] += 1e-9
+        return out
 
     monkeypatch.setattr(mtheta, "reduce_to_cell", first_off)
     zs = det_zeros(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS)).points
     assert _zero_error(zs, N3_ZEROS) < 1e-12
+
+
+def test_det_zeros_retires_non_finite_steps(monkeypatch):
+    # det f is NaN more than one cell above or below the cell, where the
+    # walk of the regression element's top-row start goes; that start
+    # must retire at once instead of stepping on to the cap
+    det = mtheta.ThetaElement.det
+    nan_points = []
+
+    def det_nan_far(self, zs):
+        zs = np.asarray(zs)
+        far = np.abs(zs.imag - 0.5) > 1.5
+        nan_points.append(int(far.sum()))
+        return np.where(far, np.nan, det(self, zs))
+
+    monkeypatch.setattr(mtheta.ThetaElement, "det", det_nan_far)
+    zs = det_zeros(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS))
+    assert sum(nan_points) > 0
+    assert zs.newton_steps < mtheta._NEWTON_CAP
+    assert _zero_error(zs.points, N3_ZEROS) < 1e-12
+
+
+@pytest.mark.xfail(raises=NullityMismatch, strict=True, reason="global row floor; growth-envelope item of ROADMAP.md")
+def test_interpolate_m1_at_the_cell_corner_with_im_c_2():
+    # a draw of the sweep below at 400 examples; the 1x1 row at the
+    # prescribed zero stays above the rank cut
+    interpolate(LatticeParams(tau=0.25 + 1j, m=1, n=1, c=-1 + 2j), [0j], [np.ones(1)])
+
+
+# |Im c| > 2 is left to the growth-envelope sweep of ROADMAP.md: near
+# |Im c| = 8 interpolation and det_zeros still fail there
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 3),
+    re_tau=st.floats(-0.5, 0.5),
+    im_tau=st.floats(0.5, 3.0),
+    re_c=st.floats(-1.0, 1.0),
+    im_c=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_det_zeros_recovers_interpolated_zeros_over_the_box(m, n, re_tau, im_tau, re_c, im_c, seed):
+    tau, c = complex(re_tau, im_tau), complex(re_c, im_c)
+    o1, o2 = 1 / m, tau / m
+    rng = np.random.default_rng(seed)
+    pts = list(rng.random(m * n - 1) * o1 + rng.random(m * n - 1) * o2)
+    pts.append(complex(mtheta.reduce_to_cell(c + n / 2 - sum(pts), o1, o2)))
+    assume(all(modular_distance(a, b, o1, o2) > 50 * mtheta.CELL_GATE for i, a in enumerate(pts) for b in pts[:i]))
+    vs = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in pts]
+    f = interpolate(LatticeParams(tau=tau, m=m, n=n, c=c), pts, vs)
+    zs = det_zeros(f).points
+    assert len(zs) == m * n
+    assert max(min(modular_distance(a, b, o1, o2) for b in zs) for a in pts) < 1e-9
 
 
 def _relative_product_error(f, g, h, zs):
@@ -512,3 +569,15 @@ def test_lattice_distance_matches_numpy_reference():
         w = complex(*rng.uniform(-2, 2, 2))
         for o1, o2 in ((1.0 / m, tau / m), (1.0, tau)):
             assert abs(lattice_distance(w, o1, o2) - _lattice_distance_numpy(w, o1, o2)) < 1e-15
+
+
+def test_array_lattice_distances_equal_the_scalar_form():
+    rng = np.random.default_rng(18)
+    for m in range(1, 5):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3.0))
+        ws = rng.uniform(-2, 2, (20, 3)) + 1j * rng.uniform(-2, 2, (20, 3))
+        got = mtheta._lattice_distances(ws, 1.0 / m, tau / m)
+        assert got.shape == ws.shape
+        ref = [[lattice_distance(w, 1.0 / m, tau / m) for w in row] for row in ws]
+        # numpy may fuse the complex products, so allow the last bits
+        assert np.abs(got - ref).max() < 1e-15
