@@ -414,7 +414,7 @@ def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
 
 
 # ---------------------------------------------------------------------------
-# interpolation and fitting
+# interpolation
 
 
 def _kernel_vector(mat: np.ndarray, m: int, side: str = "right") -> np.ndarray:
@@ -501,50 +501,6 @@ def interpolate(
     return elem
 
 
-def fit_element(
-    params: LatticeParams,
-    fn,
-    point_filter=None,
-    oversample: float = 3.0,
-    resid_tol: float = 1e-6,
-) -> ThetaElement:
-    """Least-squares projection of a pointwise matrix function onto the
-    space; the relative residual certifies membership.  Sample points
-    come from a fixed-seed generator so results are reproducible."""
-    basis = mtheta_basis(params)
-    count = int(np.ceil(oversample * basis.dim)) + 4
-    rng = np.random.default_rng(913041)
-    pts: list[complex] = []
-    attempts = 0
-    while len(pts) < count and attempts < 50 * count:
-        attempts += 1
-        z = complex(rng.random() + rng.random() * params.tau)
-        if point_filter is not None and not point_filter(z):
-            continue
-        pts.append(z)
-    if len(pts) < count:
-        raise NonGeneric("could not sample enough admissible fitting points")
-    zs = np.array(pts)
-    beval = basis.eval_basis(zs)
-    target = np.asarray(fn(zs), dtype=np.complex128)
-    m = params.m
-    mat_rows = []
-    rhs_rows = []
-    for k in range(len(zs)):
-        block = beval[:, k].reshape(basis.dim, m * m).T
-        tgt = target[k].reshape(m * m)
-        sc = max(float(np.abs(block).max()), float(np.abs(tgt).max()), 1e-300)
-        mat_rows.append(block / sc)
-        rhs_rows.append(tgt / sc)
-    mat = np.vstack(mat_rows)
-    rhs = np.concatenate(rhs_rows)
-    x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    resid = float(np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    if resid > resid_tol:
-        raise ResidualTooLarge(f"projection residual {resid:.2e} above {resid_tol:.0e}")
-    return ThetaElement(params, x)
-
-
 def _monomial_rows(f: ThetaElement):
     """Fourier coefficients of f grouped by monomial: row a m + b holds
     those of f_ab at the integer wavenumbers k0, k0 + 1, ...; returns
@@ -567,41 +523,62 @@ def _monomial_products(m: int):
     return other, np.exp(2j * np.pi / m * (b[:, None] * a[other] % m))
 
 
-def multiply_elements(f: ThetaElement, g: ThetaElement, resid_tol: float = 1e-8) -> ThetaElement:
-    """The pointwise product f g in the degree-(n_f + n_g) space, exact.
+def _right_multiplier(g: ThetaElement, left: LatticeParams):
+    """Right multiplication by g as a matrix: M takes the coordinates of
+    q, an element of the space of left, to those of q g.  Returns the
+    parameters of the product space and M, (dim_h, dim_left).
 
     Since gamma_1^a gamma_2^b gamma_1^a' gamma_2^b' =
     eps^{b a'} gamma_1^{a + a'} gamma_2^{b + b'}, the Fourier coefficients
-    of the product along each monomial are sums of convolutions of those
-    of the factors.  Each product element (A, B, s) owns the wavenumbers
-    B + m s + m (n_f + n_g) j, and its coordinate is the least-squares
-    ratio of the product's coefficients to its own over them, weighted
-    by their size.  The relative residual of h against f g at the probe
-    points certifies the result.
+    of q g along each monomial are sums of convolutions of those of the
+    factors; here q runs over the basis of left, one column each.  Each
+    product element (A, B, s) owns the wavenumbers B + m s + m n_h j,
+    and its coordinate is the least-squares ratio of the product's
+    coefficients to its own over them, weighted by their size.
     """
-    if f.params.m != g.params.m or f.params.tau != g.params.tau:
+    if left.m != g.params.m or left.tau != g.params.tau:
         raise PartitionInvalid("product factors must share m and tau")
-    pr = LatticeParams(tau=f.params.tau, m=f.params.m, n=f.params.n + g.params.n, c=f.params.c + g.params.c)
+    pr = LatticeParams(tau=left.tau, m=left.m, n=left.n + g.params.n, c=left.c + g.params.c)
     m = pr.m
-    rf, kf = _monomial_rows(f)
+    lb = mtheta_basis(left)
+    mono_l, ks_l = lb.slots()
+    kl = int(ks_l.min())
+    nl = int(ks_l.max()) - kl + 1
+    # column d holds the coefficients of basis element d at the integer
+    # wavenumbers kl, kl + 1, ...
+    cols = np.zeros((nl, lb.dim), dtype=np.complex128)
+    cols[ks_l - kl, np.arange(lb.dim)[:, None]] = lb.coeffs
     rg, kg = _monomial_rows(g)
-    nf, ng = rf.shape[1], rg.shape[1]
-    width = nf + ng - 1
-    # conv[t, K, r] = sum_i rf[r, i] rg[t, K - i]: one product with the
+    width = nl + rg.shape[1] - 1
+    # conv[t, K, d] = sum_i cols[i, d] rg[t, K - i]: one product with the
     # Toeplitz matrices of the rows of g
-    padded = np.concatenate([np.zeros((m * m, nf - 1)), rg, np.zeros((m * m, nf - 1))], axis=1)
-    toeplitz = padded[:, np.arange(width)[:, None] + np.arange(nf - 1, -1, -1)]
-    conv = (toeplitz.reshape(-1, nf) @ rf.T).reshape(m * m, width, m * m)
-    other, weight = _monomial_products(m)
-    rows = np.einsum("rR,rRK->RK", weight, conv[other, :, np.arange(m * m)[:, None]])
+    padded = np.concatenate([np.zeros((m * m, nl - 1)), rg, np.zeros((m * m, nl - 1))], axis=1)
+    toeplitz = padded[:, np.arange(width)[:, None] + np.arange(nl - 1, -1, -1)]
+    conv = (toeplitz.reshape(-1, nl) @ cols).reshape(m * m, width, lb.dim)
     basis = mtheta_basis(pr)
     mono, ks = basis.slots()
-    idx = ks - (kf + kg)
-    h = np.where((idx >= 0) & (idx < width), rows[mono, np.clip(idx, 0, width - 1)], 0)
+    other, weight = _monomial_products(m)
+    r = mono_l.T
+    # terms[e, d, j]: basis element d of left, on monomial r_d, times the
+    # monomial other[r_d, R_e] of g lands on the monomial R_e of product
+    # element e; read there at e's j-th wavenumber
+    idx = ks - (kl + kg)
+    terms = conv[other[r, mono][:, :, None], np.clip(idx, 0, width - 1)[:, None], np.arange(lb.dim)[:, None]]
     c = basis.coeffs
-    x = (c.conj() * h).sum(axis=1) / (np.abs(c) ** 2).sum(axis=1)
+    proj = np.where((idx >= 0) & (idx < width), c.conj(), 0) / (np.abs(c) ** 2).sum(axis=1, keepdims=True)
+    return pr, (terms * proj[:, None]).sum(axis=2) * weight[r, mono]
+
+
+def multiply_elements(f: ThetaElement, g: ThetaElement, resid_tol: float = 1e-8) -> ThetaElement:
+    """The pointwise product f g in the degree-(n_f + n_g) space, exact:
+    the right multiplier of g (`_right_multiplier`) applied to the
+    coordinates of f.  The relative residual of h against f g at the
+    probe points certifies the result.
+    """
+    pr, mat = _right_multiplier(g, f.params)
+    x = mat @ f.coeffs
     ref = np.matmul(f.basis().at_probes(f.coeffs), g.basis().at_probes(g.coeffs))
-    err = np.linalg.norm(basis.at_probes(x) - ref, axis=(1, 2))
+    err = np.linalg.norm(mtheta_basis(pr).at_probes(x) - ref, axis=(1, 2))
     resid = float((err / np.maximum(np.linalg.norm(ref, axis=(1, 2)), 1e-300)).max())
     if resid > resid_tol:
         raise ResidualTooLarge(f"product residual {resid:.2e} above {resid_tol:.0e}")
@@ -609,22 +586,6 @@ def multiply_elements(f: ThetaElement, g: ThetaElement, resid_tol: float = 1e-8)
     if f.zeros is not None and g.zeros is not None:
         zeros = tuple(f.zeros) + tuple(g.zeros)
     return ThetaElement(pr, x, zeros)
-
-
-def _quotient_fit(h: ThetaElement, right: ThetaElement, out_params: LatticeParams, resid_tol: float = 1e-6) -> ThetaElement:
-    """Fit h(z) right(z)^{-1}, sampling away from det(right) zeros."""
-
-    def filt(z):
-        val = right.eval(np.array([z]))[0]
-        s = np.linalg.svd(val, compute_uv=False)
-        return s[-1] > 1e-4 * max(1.0, s[0])
-
-    def fn(zs):
-        rv = right.eval(zs)
-        hv = h.eval(zs)
-        return np.matmul(hv, np.linalg.inv(rv))
-
-    return fit_element(out_params, fn, point_filter=filt, resid_tol=resid_tol)
 
 
 def _ensure_zeros(f: ThetaElement) -> ThetaElement:
@@ -694,8 +655,12 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
     zero blocks and c split.
 
     Peels the rightmost factor repeatedly: kernel vectors of f at the
-    block points interpolate the factor, and the quotient is projected
-    onto the next lower-degree space with a residual certificate.
+    block points interpolate the factor f_k, and the quotient h f_k^{-1}
+    is solved exactly over coordinates, as the least-squares solution of
+    M q = h with M the right multiplier of f_k.  The relative
+    coefficient residual of that solve certifies each quotient, and the
+    product of the factors against f at probe points certifies the
+    whole factorization.
     """
     p = f.params
     n, m = p.n, p.m
@@ -723,10 +688,16 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
     peeled: list[ThetaElement] = []
     for k in range(n - 1, 0, -1):
         block, ck = blocks[k], cs[k]
-        vs = [_kernel_vector(cur.eval(np.array([z]))[0], m) for z in block]
+        vs = [_kernel_vector(val, m) for val in cur.eval(np.array(block))]
         fk = interpolate(LatticeParams(tau=p.tau, m=m, n=1, c=ck), block, vs)
         cur_c = cur_c - ck
-        cur = _quotient_fit(cur, fk, LatticeParams(tau=p.tau, m=m, n=k, c=cur_c), resid_tol=tol)
+        qp = LatticeParams(tau=p.tau, m=m, n=k, c=cur_c)
+        _, mat = _right_multiplier(fk, qp)
+        x = np.linalg.lstsq(mat, cur.coeffs, rcond=None)[0]
+        resid = float(np.linalg.norm(mat @ x - cur.coeffs) / np.linalg.norm(cur.coeffs))
+        if resid > tol:
+            raise ResidualTooLarge(f"quotient residual {resid:.2e} above {tol:.0e}")
+        cur = ThetaElement(qp, x)
         peeled.append(fk)
     factors = [cur.normalized().with_zeros(tuple(blocks[0]))] + list(reversed(peeled))
     rel = _product_residual(factors, f, step=0.017)

@@ -525,16 +525,22 @@ def test_product_and_exchange_need_no_fit(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sampled fit called")
 
-    monkeypatch.setattr(mtheta, "fit_element", forbidden)
-    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
     rng = np.random.default_rng(15)
     dom = ThetaDomain(2, TAU)
     f, g = dom.sample(rng), dom.sample(rng)
-    h = multiply_elements(f, g)
-    zs = np.array([0.11 + 0.21j, 0.42 + 0.62j, 0.77 + 0.37j])
-    assert _relative_product_error(f, g, h, zs) < 1e-12
-    f1, g1 = theta_mu(f, g)
-    assert f1.zeros == g.zeros and g1.zeros == f.zeros
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", forbidden)
+        h = multiply_elements(f, g)
+        zs = np.array([0.11 + 0.21j, 0.42 + 0.62j, 0.77 + 0.37j])
+        assert _relative_product_error(f, g, h, zs) < 1e-12
+        f1, g1 = theta_mu(f, g)
+        assert f1.zeros == g.zeros and g1.zeros == f.zeros
+    # factorization and the ordered action draw no sample points either
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    fac = factorize_theta(h, [list(f.zeros), list(g.zeros)], [f.params.c, g.params.c])
+    assert dom.distance(fac[0], f) < 1e-9 and dom.distance(fac[1], g) < 1e-9
+    out = act_ordered_theta([0, 2, 1, 3], [f, g])
+    assert out[0].zeros == (f.zeros[0], g.zeros[0]) and out[1].zeros == (f.zeros[1], g.zeros[1])
 
 
 def test_product_certificate_rejects_a_wrong_product(monkeypatch):
@@ -552,6 +558,64 @@ def test_product_certificate_rejects_a_wrong_product(monkeypatch):
     multiply_elements(f, g, resid_tol=1e-5)
     with pytest.raises(ResidualTooLarge, match="product residual"):
         multiply_elements(f, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quotient_certificate_rejects_an_indivisible_element(n):
+    # at m = 1 the peeled factor is the degree-1 theta with the last
+    # block's zero, whatever the element; a step of 1e-4 out of the range
+    # of its right multiplier leaves an element it does not divide
+    rng = np.random.default_rng(19 + n)
+    dom = ThetaDomain(1, TAU)
+    fs = [dom.sample(rng) for _ in range(n)]
+    h = fs[0]
+    for fk in fs[1:]:
+        h = multiply_elements(h, fk)
+    blocks, cs = [list(f.zeros) for f in fs], [f.params.c for f in fs]
+    factorize_theta(h, blocks, cs)
+    left = LatticeParams(tau=TAU, m=1, n=n - 1, c=h.params.c - cs[-1])
+    _, mat = mtheta._right_multiplier(fs[-1], left)
+    q, _ = np.linalg.qr(mat)
+    step = rng.standard_normal(h.coeffs.shape) + 1j * rng.standard_normal(h.coeffs.shape)
+    step -= q @ (q.conj().T @ step)
+    step *= 1e-4 * np.linalg.norm(h.coeffs) / np.linalg.norm(step)
+    bad = mtheta.ThetaElement(h.params, h.coeffs + step)
+    with pytest.raises(ResidualTooLarge, match="quotient residual"):
+        factorize_theta(bad, blocks, cs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(2, 3),
+    re_tau=st.floats(-0.5, 0.5),
+    im_tau=st.floats(0.5, 2.0),
+    cs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_factorize_theta_round_trips_over_the_box(m, n, re_tau, im_tau, cs, seed):
+    tau = complex(re_tau, im_tau)
+    o1, o2 = 1 / m, tau / m
+    rng = np.random.default_rng(seed)
+    cs = [complex(*c) for c in cs[:n]]
+    blocks = []
+    for c in cs:
+        pts = list(rng.random(m - 1) * o1 + rng.random(m - 1) * o2)
+        pts.append(complex(mtheta.reduce_to_cell(c + 0.5 - sum(pts), o1, o2)))
+        blocks.append(pts)
+    flat = [z for b in blocks for z in b]
+    assume(all(modular_distance(a, b, o1, o2) > 50 * mtheta.CELL_GATE for i, a in enumerate(flat) for b in flat[:i]))
+    fs = []
+    for c, pts in zip(cs, blocks):
+        vs = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in pts]
+        fs.append(interpolate(LatticeParams(tau=tau, m=m, n=1, c=c), pts, vs))
+    h = fs[0]
+    for fk in fs[1:]:
+        h = multiply_elements(h, fk)
+    fac = factorize_theta(h, blocks, cs)
+    dom = ThetaDomain(m, tau)
+    assert max(dom.distance(a, b) for a, b in zip(fac, fs)) < 1e-8
+    assert mtheta._product_residual(fac, h) < 1e-10
 
 
 def _lattice_distance_numpy(w, o1, o2):
