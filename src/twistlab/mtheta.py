@@ -353,10 +353,10 @@ def _newton_roots(f: ThetaElement, zs: np.ndarray, limit: float):
     return z[converged], steps
 
 
-def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
+def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
     """Locate the m n determinant zeros in the fundamental cell.
 
-    Scan: |det f| on a grid x grid mesh of the (1/m, tau/m) cell,
+    Scan: |det f| on a 48 x 48 mesh of the (1/m, tau/m) cell,
     normalized by the theta growth envelope so local minima are
     meaningful at every height.  The Newton starts are the grid's
     periodic 8-neighbour local minima and its 2 m n + 4 smallest cells.
@@ -374,7 +374,7 @@ def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
     p = f.params
     o1, o2 = p.omega1, p.omega2
     expected = p.m * p.n
-    g = int(grid)
+    g = 48
     steps = 0
     for _ in range(3):
         xs = (np.arange(g) + 0.5) / g
@@ -417,35 +417,29 @@ def det_zeros(f: ThetaElement, grid: int = 48, tol: float = 1e-6) -> ZeroSet:
 # interpolation
 
 
-def _kernel_vector(mat: np.ndarray, m: int, side: str = "right") -> np.ndarray:
+def _kernel_vector(mat: np.ndarray, m: int) -> np.ndarray:
     if m == 1:
         return np.ones(1, dtype=np.complex128)
     try:
-        return nullspace_vector(mat if side == "right" else mat.T, tol=1e-5)
+        return nullspace_vector(mat, tol=1e-5)
     except RankUnexpected as exc:
         raise NonGeneric("matrix value has no one-dimensional kernel") from exc
 
 
-def interpolate(
-    params: LatticeParams,
-    points,
-    vectors,
-    sum_tol: float = 1e-6,
-    rank_rtol: float = 1e-8,
-    resid_tol: float = 1e-7,
-    side: str = "right",
-) -> ThetaElement:
-    """The unique element, up to scale, with f(p_k) v_k = 0.
+def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
+    """The unique element, up to scale, with right kernel vectors
+    f(p_k) v_k = 0.
 
-    Needs m n points whose scaled sum meets the lattice congruence; the
-    homogeneous linear system over the basis coefficients must then have
-    a one-dimensional nullspace.  side="left" prescribes left kernel
-    vectors instead: v_k^T f(p_k) = 0.
+    Needs m n points whose scaled sum meets the lattice congruence to
+    1e-6; the homogeneous linear system over the basis coefficients must
+    then have a one-dimensional nullspace (singular values below 1e-8 of
+    the largest), and the element must vanish on the prescribed vectors
+    to 1e-7 of its size at the probes.
 
     Each point p = w + s/m + q tau/m is first moved to w in the
     (1/m, tau/m) cell.  By the two laws f(p) is a scalar times
     M^{-1} f(w) M with M = gamma_1^s gamma_2^q, so the conditions become
-    f(w) M v = 0, or (M^{-T} v)^T f(w) = 0 on the left.
+    f(w) M v = 0.
     """
     p = params
     points = [complex(z) for z in points]
@@ -454,10 +448,8 @@ def interpolate(
         raise PartitionInvalid(f"need {p.m * p.n} points and as many vectors")
     if any(np.linalg.norm(v) == 0 for v in vectors):
         raise PartitionInvalid("kernel vectors must be nonzero")
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
     sr = zero_sum_residual(points, p)
-    if sr > sum_tol:
+    if sr > 1e-6:
         raise SumRuleViolated(f"prescribed zeros miss the sum congruence by {sr:.2e}")
     basis = mtheta_basis(p)
     m, o1, o2 = p.m, p.omega1, p.omega2
@@ -466,16 +458,13 @@ def interpolate(
         x, y = _lattice_solve(z, o1, o2)
         s, q = math.floor(x), math.floor(y)
         ws.append(z - s * o1 - q * o2)
-        # M is unitary, so M^{-T} = conj(M) and both keep |v| = 1
+        # M is unitary, so M v keeps |v| = 1
         mono = basis._mono[((s % m) * m + q % m) * p.n].reshape(m, m)
-        us.append((mono if side == "right" else mono.conj()) @ (v / np.linalg.norm(v)))
+        us.append(mono @ (v / np.linalg.norm(v)))
     beval = basis.eval_basis(np.array(ws))
     rows = []
     for beta, u in enumerate(us):
-        if side == "right":
-            block = np.einsum("dij,j->id", beval[:, beta], u)
-        else:
-            block = np.einsum("i,dij->jd", u, beval[:, beta])
+        block = np.einsum("dij,j->id", beval[:, beta], u)
         # scale by the size of the terms entering the cancellation so the
         # genuinely null direction stays null after row balancing; the
         # floor keeps rows that are tiny outright (the 1x1 scalar case)
@@ -485,19 +474,15 @@ def interpolate(
     mat = np.vstack(rows)
     _, sv, vh = np.linalg.svd(mat)
     anchor = max(float(sv[0]), 1.0)
-    nullity = int(np.sum(sv <= rank_rtol * anchor))
+    nullity = int(np.sum(sv <= 1e-8 * anchor))
     if nullity != 1:
         raise NullityMismatch(f"interpolation nullity {nullity}, expected 1")
     elem = ThetaElement(p, vh[-1].conj(), zeros=tuple(points)).normalized()
     vals = np.einsum("d,dpij->pij", elem.coeffs, beval)
     scale = float(np.linalg.norm(basis.at_probes(elem.coeffs), axis=(1, 2)).max())
-    if side == "right":
-        worst = max(float(np.linalg.norm(val @ u)) for val, u in zip(vals, us))
-    else:
-        worst = max(float(np.linalg.norm(u @ val)) for val, u in zip(vals, us))
-    worst /= max(scale, 1e-300)
-    if worst > resid_tol:
-        raise ResidualTooLarge(f"interpolation residual {worst:.2e} above {resid_tol:.0e}")
+    worst = max(float(np.linalg.norm(val @ u)) for val, u in zip(vals, us)) / max(scale, 1e-300)
+    if worst > 1e-7:
+        raise ResidualTooLarge(f"interpolation residual {worst:.2e} above 1e-07")
     return elem
 
 
@@ -514,10 +499,12 @@ def _monomial_rows(f: ThetaElement):
     return rows, k0
 
 
+@lru_cache(maxsize=None)
 def _monomial_products(m: int):
     """For monomials r = a m + b and t = a' m + b', the t with
     gamma_1^a gamma_2^b gamma_1^a' gamma_2^b' a multiple of monomial R,
-    indexed [r, R], and that multiple eps^{b a'}."""
+    indexed [r, R], and that multiple eps^{b a'}.  Cached per m; the
+    callers only index with the two arrays."""
     a, b = np.divmod(np.arange(m * m), m)
     other = ((a[None, :] - a[:, None]) % m) * m + (b[None, :] - b[:, None]) % m
     return other, np.exp(2j * np.pi / m * (b[:, None] * a[other] % m))
@@ -573,14 +560,19 @@ def multiply_elements(f: ThetaElement, g: ThetaElement, resid_tol: float = 1e-8)
     """The pointwise product f g in the degree-(n_f + n_g) space, exact:
     the right multiplier of g (`_right_multiplier`) applied to the
     coordinates of f.  The relative residual of h against f g at the
-    probe points certifies the result.
+    probe points certifies the result; a residual that cannot be
+    computed (NaN) fails it.
     """
     pr, mat = _right_multiplier(g, f.params)
     x = mat @ f.coeffs
     ref = np.matmul(f.basis().at_probes(f.coeffs), g.basis().at_probes(g.coeffs))
-    err = np.linalg.norm(mtheta_basis(pr).at_probes(x) - ref, axis=(1, 2))
-    resid = float((err / np.maximum(np.linalg.norm(ref, axis=(1, 2)), 1e-300)).max())
-    if resid > resid_tol:
+    # in units of each probe's largest entry, so that the norms do not
+    # overflow where f g is large
+    unit = np.abs(ref).max(axis=(1, 2), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.linalg.norm((mtheta_basis(pr).at_probes(x) - ref) / unit, axis=(1, 2))
+        resid = float((err / np.linalg.norm(ref / unit, axis=(1, 2))).max())
+    if not resid <= resid_tol:
         raise ResidualTooLarge(f"product residual {resid:.2e} above {resid_tol:.0e}")
     zeros = None
     if f.zeros is not None and g.zeros is not None:
@@ -601,10 +593,10 @@ def _best_fit_scalar(a: np.ndarray, b: np.ndarray) -> complex:
     return np.vdot(b, a) / denom
 
 
-def _product_residual(factors, reference, step: float = 0.013) -> float:
+def _product_residual(factors, reference) -> float:
     """Relative residual of the ordered product of factors against
-    reference up to one scalar, at 20 probe points spaced by step."""
-    zs = np.array([f1 + f2 * reference.params.tau for f1, f2 in _PROBE_FRACS] * 5) + step * np.arange(20)
+    reference up to one scalar, at 20 probe points spaced by 0.017."""
+    zs = np.array([f1 + f2 * reference.params.tau for f1, f2 in _PROBE_FRACS] * 5) + 0.017 * np.arange(20)
     prod = factors[0].eval(zs)
     for fk in factors[1:]:
         prod = np.matmul(prod, fk.eval(zs))
@@ -619,7 +611,9 @@ def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
 
     Returns (f1, g1) with f g = f1 g1 pointwise up to normalization
     scalars, the zero sets exchanged, and the c parameters exchanged
-    along with them.
+    along with them: the factorization of f g (`factorize_theta`) with
+    the zero blocks [S(g), S(f)] and the c split [c_g, c_f], certified
+    by its quotient and product residuals.
     """
     if f.params.n != 1 or g.params.n != 1:
         raise PartitionInvalid("theta transposition acts on degree-1 elements")
@@ -633,20 +627,7 @@ def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
     )
     if gap < CELL_GATE:
         raise SpectraOverlap(f"zero sets collide modulo the cell (gap {gap:.2e})")
-    h = multiply_elements(f, g)
-    # h = f1 g1 with the zero sets exchanged: right kernels of h at S(f)
-    # are right kernels of g1, left kernels of h at S(g) are left kernels
-    # of f1, so both factors come from well-conditioned interpolations.
-    hv = h.eval(np.array(f.zeros + g.zeros))
-    vs = [_kernel_vector(val, p.m) for val in hv[: p.m]]
-    g1 = interpolate(LatticeParams(tau=p.tau, m=p.m, n=1, c=f.params.c), f.zeros, vs)
-    ws = [_kernel_vector(val, p.m, side="left") for val in hv[p.m :]]
-    f1 = interpolate(
-        LatticeParams(tau=p.tau, m=p.m, n=1, c=g.params.c), g.zeros, ws, side="left"
-    )
-    resid = _product_residual([f1, g1], h)
-    if resid > tol:
-        raise ResidualTooLarge(f"product not preserved, residual {resid:.2e}")
+    f1, g1 = factorize_theta(multiply_elements(f, g), [g.zeros, f.zeros], [g.params.c, f.params.c], tol=tol)
     return f1, g1
 
 
@@ -684,14 +665,14 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
     if n == 1:
         return [f.normalized().with_zeros(tuple(blocks[0]))]
     cur = f
-    cur_c = p.c
     peeled: list[ThetaElement] = []
     for k in range(n - 1, 0, -1):
-        block, ck = blocks[k], cs[k]
+        block = blocks[k]
         vs = [_kernel_vector(val, m) for val in cur.eval(np.array(block))]
-        fk = interpolate(LatticeParams(tau=p.tau, m=m, n=1, c=ck), block, vs)
-        cur_c = cur_c - ck
-        qp = LatticeParams(tau=p.tau, m=m, n=k, c=cur_c)
+        fk = interpolate(LatticeParams(tau=p.tau, m=m, n=1, c=cs[k]), block, vs)
+        # the quotient carries the c of the blocks left of k, summed
+        # afresh so that the last factor gets csplit[0] exactly
+        qp = LatticeParams(tau=p.tau, m=m, n=k, c=sum(cs[:k]))
         _, mat = _right_multiplier(fk, qp)
         x = np.linalg.lstsq(mat, cur.coeffs, rcond=None)[0]
         resid = float(np.linalg.norm(mat @ x - cur.coeffs) / np.linalg.norm(cur.coeffs))
@@ -700,7 +681,7 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
         cur = ThetaElement(qp, x)
         peeled.append(fk)
     factors = [cur.normalized().with_zeros(tuple(blocks[0]))] + list(reversed(peeled))
-    rel = _product_residual(factors, f, step=0.017)
+    rel = _product_residual(factors, f)
     if rel > tol:
         raise ResidualTooLarge(f"factor product misses the element by {rel:.2e}")
     return factors

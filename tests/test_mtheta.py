@@ -298,6 +298,32 @@ def test_theta_mu_m1_is_projective_swap():
     assert dom.distance(g1, f) < 1e-9
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 4),
+    re_tau=st.floats(-0.5, 0.5),
+    im_tau=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_theta_mu_over_the_box(m, re_tau, im_tau, seed):
+    tau = complex(re_tau, im_tau)
+    rng = np.random.default_rng(seed)
+    dom = ThetaDomain(m, tau)
+    f, g = dom.sample(rng), dom.sample(rng)
+    assume(theta_map(m, tau).is_generic(f, g))
+    f1, g1 = theta_mu(f, g)
+    assert f1.zeros == g.zeros and g1.zeros == f.zeros
+    assert f1.params.c == g.params.c and g1.params.c == f.params.c
+    # points in the strips below and above the cell
+    zs = rng.random(12) + (rng.random(12) - 1 + 2 * (rng.random(12) > 0.5)) * tau / m
+    prod = np.matmul(f1.eval(zs), g1.eval(zs)).ravel()
+    ref = np.matmul(f.eval(zs), g.eval(zs)).ravel()
+    s = np.vdot(prod, ref) / np.vdot(prod, prod)
+    assert np.linalg.norm(prod * s - ref) / np.linalg.norm(ref) < 1e-10
+    f2, g2 = theta_mu(f1, g1)
+    assert max(dom.distance(f2, f), dom.distance(g2, g)) < 1e-9
+
+
 def test_theta_map_verifiers():
     tm = theta_map(2, TAU)
     assert verify_involution(tm, samples=15, seed=12, tol=1e-9).passed
@@ -346,8 +372,8 @@ def test_theta_sample_redraws_failed_interpolations(monkeypatch):
     assert len({tuple(p) for p in calls}) == MAX_REDRAW
 
 
-def _vanishing(f, z, v, side):
-    """|f(z) v| / (|f(z)| |v|) (or v^T f(z) on the left) at any z: where
+def _vanishing(f, z, v):
+    """|f(z) v| / (|f(z)| |v|) at any z: where
     f(z) overflows, z = w + s/m + q tau/m is moved to w with the laws,
     f(z) being a scalar times M^{-1} f(w) M for M = gamma_1^s gamma_2^q."""
     m, tau = f.params.m, f.params.tau
@@ -360,11 +386,12 @@ def _vanishing(f, z, v, side):
         g1, g2 = clifford_pair(m)
         mono = np.linalg.matrix_power(g1, s % m) @ np.linalg.matrix_power(g2, q % m)
         val = np.linalg.inv(mono) @ f.eval(np.array([z - (s + q * tau) / m]))[0] @ mono
-    res = val @ v if side == "right" else v @ val
-    return np.linalg.norm(res) / (np.linalg.norm(val) * np.linalg.norm(v))
+    return np.linalg.norm(val @ v) / (np.linalg.norm(val) * np.linalg.norm(v))
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
+# interpolation prescribes right kernels only; the "side" id stays in
+# the test names
+@pytest.mark.parametrize("side", ["right"])
 @pytest.mark.parametrize("y", [2, 4, 8, 16])
 def test_interpolate_points_outside_the_cell(y, side):
     # the points lie y above and below the cell; at y = 8 and 16 the
@@ -373,14 +400,13 @@ def test_interpolate_points_outside_the_cell(y, side):
     z1 = 0.1 + 0.2j + y * 1j
     pts = [z1, params.c + 0.5 - z1]
     vs = [np.array([1.0, 0.4 + 0.2j]), np.array([0.3, 1.0])]
-    f = interpolate(params, pts, vs, side=side)
+    f = interpolate(params, pts, vs)
     assert f.zeros == tuple(pts)
-    assert max(_vanishing(f, z, v, side) for z, v in zip(pts, vs)) < 1e-12
+    assert max(_vanishing(f, z, v) for z, v in zip(pts, vs)) < 1e-12
     # the same conditions moved into the cell by hand give the same element
     g1, _ = clifford_pair(2)
     moved = [0.1 + 0.2j, pts[1] - 0.5 + y * 1j]
-    u = g1 @ vs[1] if side == "right" else np.linalg.inv(g1).T @ vs[1]
-    ref = interpolate(params, moved, [vs[0], u], side=side)
+    ref = interpolate(params, moved, [vs[0], g1 @ vs[1]])
     assert ThetaDomain(2, 1j).distance(f, ref) < 1e-12
 
 
@@ -533,10 +559,11 @@ def test_product_and_exchange_need_no_fit(monkeypatch):
         h = multiply_elements(f, g)
         zs = np.array([0.11 + 0.21j, 0.42 + 0.62j, 0.77 + 0.37j])
         assert _relative_product_error(f, g, h, zs) < 1e-12
-        f1, g1 = theta_mu(f, g)
-        assert f1.zeros == g.zeros and g1.zeros == f.zeros
-    # factorization and the ordered action draw no sample points either
+    # the exchange, factorization and the ordered action solve their
+    # quotients over coordinates and draw no sample points
     monkeypatch.setattr(np.random, "default_rng", forbidden)
+    f1, g1 = theta_mu(f, g)
+    assert f1.zeros == g.zeros and g1.zeros == f.zeros
     fac = factorize_theta(h, [list(f.zeros), list(g.zeros)], [f.params.c, g.params.c])
     assert dom.distance(fac[0], f) < 1e-9 and dom.distance(fac[1], g) < 1e-9
     out = act_ordered_theta([0, 2, 1, 3], [f, g])
@@ -558,6 +585,31 @@ def test_product_certificate_rejects_a_wrong_product(monkeypatch):
     multiply_elements(f, g, resid_tol=1e-5)
     with pytest.raises(ResidualTooLarge, match="product residual"):
         multiply_elements(f, g)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_product_certificate_fails_closed_where_the_product_is_large(monkeypatch, eps):
+    # here f g reaches about 1e156 at the fourth (1, tau)-cell probe, so
+    # its plain Frobenius norm overflows; a product with coordinates off
+    # by eps must still fail, and the correct one pass
+    tau = -0.195 + 2.769j
+    pf = LatticeParams(tau=tau, m=4, n=1, c=-0.521 - 2.109j)
+    pg = LatticeParams(tau=tau, m=4, n=2, c=0.611 - 2.709j)
+    build = mtheta._right_multiplier
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        f, g = random_element(pf, rng), random_element(pg, rng)
+        multiply_elements(f, g)
+        noise = 1 + eps * rng.standard_normal(48)  # the product space has dim 16 * 3
+
+        def perturbed(g, left):
+            pr, mat = build(g, left)
+            return pr, mat * noise[:, None]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(mtheta, "_right_multiplier", perturbed)
+            with pytest.raises(ResidualTooLarge, match="product residual"):
+                multiply_elements(f, g)
 
 
 @pytest.mark.parametrize("n", [2, 3])
