@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import theta_eval
+from ._kernels import small_det, theta_eval, theta_eval_grid
 from .errors import (
     NonGeneric,
     NullityMismatch,
@@ -183,7 +183,7 @@ class MThetaBasis:
         q = np.floor(zs.imag / p.omega2.imag)
         w = zs - q * p.omega2
         th = theta_eval(self.coeffs, self.ks, w)
-        if not q.any():  # all points in the strip, as on zero grids and Newton steps
+        if not q.any():  # all points in the strip, as on Newton steps
             return th
         # q applications of the tau/m law from the strip back to zs
         lift = np.outer(self._a / p.m, q) + q * (p.m * p.n * w - p.c + (q - 1) * (p.n * p.tau / 2))
@@ -198,6 +198,16 @@ class MThetaBasis:
     def eval(self, x, zs) -> np.ndarray:
         """Matrix values of the combination with coefficients x: (P, m, m)."""
         return self._combine(x, self.series(zs))
+
+    def eval_grid(self, x, us, vs) -> np.ndarray:
+        """Matrix values of the combination x at the points us[i] + vs[j],
+        all in the strip 0 <= Im z < Im tau / m: (len(us) * len(vs), m, m),
+        row-major in (i, j).  The coordinates x scale the series
+        coefficients, so the kernel sums the combination's terms at once."""
+        coeffs = self.coeffs * np.asarray(x, dtype=np.complex128)[:, None]
+        th = theta_eval_grid(coeffs, self.ks, us, vs).reshape(self.dim, -1)
+        m = self.params.m
+        return (th.T @ self._mono).reshape(-1, m, m)
 
     def at_probes(self, x) -> np.ndarray:
         """Matrix values of the combination x at the (1, tau)-cell probes."""
@@ -231,7 +241,7 @@ class ThetaElement:
         return self.basis().eval(self.coeffs, zs)
 
     def det(self, zs) -> np.ndarray:
-        return np.linalg.det(self.eval(zs))
+        return small_det(self.eval(zs))
 
     def normalized(self) -> "ThetaElement":
         j = int(np.argmax(np.abs(self.coeffs)))
@@ -316,11 +326,17 @@ _NEWTON_CAP = 60
 _NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
 
 
+def _envelope(p: LatticeParams, zs) -> np.ndarray:
+    """The growth envelope exp(pi m n (Im m z)^2 / Im tau) of det f; it
+    depends on Im z alone."""
+    return np.exp(np.pi * p.m * p.n * np.imag(p.m * zs) ** 2 / p.tau.imag)
+
+
 def _normalized_det(f: ThetaElement, zs) -> np.ndarray:
-    """|det f| over the growth envelope exp(pi m n (Im m z)^2 / Im tau),
-    so that values compare across heights in the cell."""
-    p = f.params
-    return np.abs(f.det(zs)) / np.exp(np.pi * p.m * p.n * np.imag(p.m * zs) ** 2 / p.tau.imag)
+    """|det f| over its growth envelope, so that values compare across
+    heights in the cell.  det f comes from `ThetaElement.det`, the
+    closed form `small_det` at arbitrary points."""
+    return np.abs(f.det(zs)) / _envelope(f.params, zs)
 
 
 def _newton_roots(f: ThetaElement, zs: np.ndarray, limit: float):
@@ -358,8 +374,12 @@ def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
 
     Scan: |det f| on a 48 x 48 mesh of the (1/m, tau/m) cell,
     normalized by the theta growth envelope so local minima are
-    meaningful at every height.  The Newton starts are the grid's
-    periodic 8-neighbour local minima and its 2 m n + 4 smallest cells.
+    meaningful at every height.  The mesh is the outer sum of its two
+    axes, so the series come from the grid kernel `theta_eval_grid`
+    and the determinants from the closed form `small_det`; the
+    envelope depends on the height alone and is computed once per
+    height.  The Newton starts are the grid's periodic 8-neighbour
+    local minima and its 2 m n + 4 smallest cells.
 
     Newton: central differences on all starts at once (`_newton_roots`),
     at most 60 steps.  Converged roots are moved into the cell, and a
@@ -374,17 +394,23 @@ def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
     p = f.params
     o1, o2 = p.omega1, p.omega2
     expected = p.m * p.n
+    basis = f.basis()
     g = 48
     steps = 0
     for _ in range(3):
         xs = (np.arange(g) + 0.5) / g
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        zs = (gx * o1 + gy * o2).ravel()
-        ng = _normalized_det(f, zs).reshape(g, g)
+        us, vs = xs * o1, xs * o2
+        zs = (us[:, None] + vs[None, :]).ravel()
+        dets = small_det(basis.eval_grid(f.coeffs, us, vs)).reshape(g, g)
+        ng = np.abs(dets) / _envelope(p, vs)
         scale0 = float(ng.max())
-        # local minima, then the smallest cells; a mask rather than
+        # periodic local minima, read off the grid with a wrapped border
+        # of one cell, then the smallest cells; a mask rather than
         # np.union1d, whose np.unique imports numpy.ma (1 MB)
-        start = np.logical_and.reduce([ng <= np.roll(ng, s, axis=(0, 1)) for s in _NEIGHBOURS]).ravel()
+        wrap = np.arange(-1, g + 1) % g
+        ring = ng[np.ix_(wrap, wrap)]
+        start = np.logical_and.reduce([ng <= ring[1 + i : g + 1 + i, 1 + j : g + 1 + j] for i, j in _NEIGHBOURS])
+        start = start.ravel()
         start[np.argsort(ng, axis=None)[: 2 * expected + 4]] = True
         found, taken = _newton_roots(f, zs[start], 3 * (abs(o1) + abs(o2)))
         steps += taken

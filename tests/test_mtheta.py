@@ -483,6 +483,17 @@ def test_det_zeros_retires_non_finite_steps(monkeypatch):
     assert _zero_error(zs.points, N3_ZEROS) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_det_zeros_needs_no_lapack_determinant(monkeypatch, m):
+    # the scan and Newton take determinants in closed form
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    f = random_element(LatticeParams(tau=0.2 + 1.1j, m=m, n=1, c=C0), np.random.default_rng(m))
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    assert len(det_zeros(f).points) == m
+
+
 @pytest.mark.xfail(raises=NullityMismatch, strict=True, reason="global row floor; growth-envelope item of ROADMAP.md")
 def test_interpolate_m1_at_the_cell_corner_with_im_c_2():
     # a draw of the sweep below at 400 examples; the 1x1 row at the
