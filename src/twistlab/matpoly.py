@@ -36,15 +36,14 @@ from .errors import (
 from .linalg import (
     GENERICITY_TOL,
     as_square_matrix,
-    canonical_order,
     eigen,
     min_cross_gap,
     min_pair_gap,
     nullspace_vector,
-    poly_roots,
     solve_sylvester,
+    sort_canonical,
 )
-from .transpositions import MatrixDomain, TwistedMap, adjacent_word
+from .transpositions import MatrixDomain, TwistedMap, _act_on_blocks
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,8 @@ class MatrixPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
+        if not self.coeffs:
+            raise SizeMismatch("need at least one coefficient")
         for a in self.coeffs:
             if a.shape != (self.m, self.m):
                 raise SizeMismatch(f"coefficient shape {a.shape} does not match m={self.m}")
@@ -137,54 +138,19 @@ def multiply(factors) -> MatrixPolynomial:
     return MatrixPolynomial(m, coeffs)
 
 
-def det_coeffs(poly: MatrixPolynomial) -> np.ndarray:
-    """Coefficients of det p(t), leading first, by evaluation at scaled
-    roots of unity followed by an inverse FFT."""
-    md = poly.m * poly.degree
-    nodes_n = md + 1
-    r = 1.0 + 2.0 * max(
-        float(np.linalg.norm(a, 2)) ** (1.0 / k) for k, a in enumerate(poly.coeffs, start=1)
-    )
-    nodes = r * np.exp(2j * np.pi * np.arange(nodes_n) / nodes_n)
-    std = poly.standard_coeffs()
-    vals = np.array([np.linalg.det(_value(std, z)) for z in nodes])
-    # vals[k] = sum_j (q_j r^j) e^{+2 pi i jk/N}, so the forward FFT inverts it
-    asc = np.fft.fft(vals) / nodes_n / r ** np.arange(nodes_n)
-    if abs(asc[-1] - 1) > 1e-6:
-        raise ResidualTooLarge("determinant interpolation lost the monic leading coefficient")
-    asc[-1] = 1.0
-    return asc[::-1]
-
-
 def spectrum(poly: MatrixPolynomial, tol: float = GENERICITY_TOL) -> np.ndarray:
-    """The md determinant roots in canonical order; rejects clustered roots.
+    """The md roots of det p(t) in canonical order; rejects clustered roots.
 
-    Companion roots of the interpolated determinant are polished by a
-    few Newton steps on det p(t) itself, which is evaluable to machine
-    precision; the interpolation radius would otherwise cap the root
-    accuracy near 1e-8 for degree-9 determinants.
+    They are the eigenvalues of the md x md block companion matrix C,
+    whose first block row is (-P_1, ..., -P_d) and whose block
+    subdiagonal holds identities, since det(t - C) = det p(t).
     """
-    roots = poly_roots(det_coeffs(poly))
-    std = poly.standard_coeffs()
+    m, d = poly.m, poly.degree
+    comp = np.zeros((m * d, m * d), dtype=np.complex128)
+    comp[:m] = -np.hstack(poly.standard_coeffs()[1:])
+    comp[m:, :-m] = np.eye(m * (d - 1))
+    roots = sort_canonical(np.linalg.eigvals(comp))
     scale = max(1.0, float(np.max(np.abs(roots))))
-    step = 1e-7 * scale
-    polished = []
-    for z in roots:
-        for _ in range(4):
-            g0 = np.linalg.det(_value(std, z))
-            gp = np.linalg.det(_value(std, z + step))
-            gm = np.linalg.det(_value(std, z - step))
-            deriv = (gp - gm) / (2 * step)
-            if deriv == 0:
-                break
-            dz = g0 / deriv
-            if abs(dz) > 0.1 * scale:
-                break
-            z = z - dz
-            if abs(dz) < 1e-14 * scale:
-                break
-        polished.append(z)
-    roots = np.asarray(polished)[canonical_order(polished)]
     if min_pair_gap(roots) < tol * scale:
         raise NonGeneric(f"determinant roots cluster below {tol:.0e} * scale")
     return roots
@@ -329,24 +295,9 @@ def act_ordered(sigma, ft: FactorTuple, tol: float = 1e-8) -> FactorTuple:
     product of the adjacent pair with the exchanged eigenvalue sets.
     Labels move exactly, matrices move within tolerance.
     """
-    m = ft.m
-    n_fac = len(ft.factors)
-    size = m * n_fac
-    if len(sigma) != size:
-        raise PartitionInvalid(f"permutation length {len(sigma)} does not match {size} slots")
-    word = adjacent_word(sigma)
-    mats = [b.copy() for b in ft.factors]
-    labels = [list(s) for s in ft.spectra]
-    for j in word:
-        a, r = divmod(j, m)
-        if r < m - 1:
-            labels[a][r], labels[a][r + 1] = labels[a][r + 1], labels[a][r]
-            continue
-        la, lb = labels[a], labels[a + 1]
-        new_la = la[: m - 1] + [lb[0]]
-        new_lb = [la[m - 1]] + lb[1:]
-        pairpoly = multiply([mats[a], mats[a + 1]])
-        pair_ft = factorize(pairpoly, [new_la, new_lb], tol=tol)
-        mats[a], mats[a + 1] = pair_ft.factors
-        labels[a], labels[a + 1] = new_la, new_lb
+
+    def refactor(ba, bb, new_la, new_lb):
+        return factorize(multiply([ba, bb]), [new_la, new_lb], tol=tol).factors
+
+    mats, labels = _act_on_blocks(sigma, [b.copy() for b in ft.factors], ft.spectra, refactor)
     return FactorTuple(tuple(mats), tuple(tuple(s) for s in labels))

@@ -45,7 +45,7 @@ from .errors import (
     ZeroCountMismatch,
 )
 from .linalg import nullspace_vector
-from .transpositions import PointDomain, TwistedMap, adjacent_word, redraw
+from .transpositions import PointDomain, TwistedMap, _act_on_blocks, redraw
 
 CELL_GATE = 1e-4
 _TAIL_CUT = 40.0
@@ -723,27 +723,14 @@ def act_ordered_theta(sigma, factors, tol: float = 1e-6) -> list[ThetaElement]:
     factors = [_ensure_zeros(f) for f in factors]
     if any(f.params.n != 1 for f in factors):
         raise PartitionInvalid("ordered action runs on degree-1 factors")
-    m = factors[0].params.m
-    size = m * len(factors)
-    if len(sigma) != size:
-        raise PartitionInvalid(f"permutation length {len(sigma)} does not match {size} slots")
-    word = adjacent_word(sigma)
-    fs = list(factors)
-    labels = [list(f.zeros) for f in factors]
-    for j in word:
-        a, r = divmod(j, m)
-        if r < m - 1:
-            labels[a][r], labels[a][r + 1] = labels[a][r + 1], labels[a][r]
-            continue
-        la, lb = labels[a], labels[a + 1]
-        new_la = la[: m - 1] + [lb[0]]
-        new_lb = [la[m - 1]] + lb[1:]
-        h = multiply_elements(fs[a], fs[a + 1])
+
+    def refactor(fa, fb, new_la, new_lb):
+        h = multiply_elements(fa, fb)
         cb = sum(new_lb) - 0.5
-        ca = (fs[a].params.c + fs[a + 1].params.c) - cb
-        fa2, fb2 = factorize_theta(h, [new_la, new_lb], [ca, cb], tol=tol)
-        fs[a], fs[a + 1] = fa2, fb2
-        labels[a], labels[a + 1] = new_la, new_lb
+        ca = (fa.params.c + fb.params.c) - cb
+        return factorize_theta(h, [new_la, new_lb], [ca, cb], tol=tol)
+
+    fs, labels = _act_on_blocks(sigma, factors, [f.zeros for f in factors], refactor)
     return [f.with_zeros(tuple(z)) for f, z in zip(fs, labels)]
 
 

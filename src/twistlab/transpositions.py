@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonGeneric, UnknownMap
+from .errors import NonGeneric, PartitionInvalid, UnknownMap
 from .report import VerificationReport
 
 MAX_REDRAW = 16
@@ -273,3 +273,30 @@ def adjacent_word(sigma) -> list[int]:
             cur[j], cur[j + 1] = cur[j + 1], cur[j]
             word.append(j)
     return word
+
+
+def _act_on_blocks(sigma, factors, labels, refactor):
+    """Ordered action of sigma on factors carrying m labels each.
+
+    sigma is an image list over the m * len(factors) label slots.  An
+    interior adjacent swap relabels inside one factor; a boundary swap
+    exchanges one label across the pair and replaces the pair (f_a, f_b)
+    by refactor(f_a, f_b, new_la, new_lb).  Returns (factors, labels).
+    """
+    m = len(labels[0])
+    size = m * len(factors)
+    if len(sigma) != size:
+        raise PartitionInvalid(f"permutation length {len(sigma)} does not match {size} slots")
+    factors = list(factors)
+    labels = [list(s) for s in labels]
+    for j in adjacent_word(sigma):
+        a, r = divmod(j, m)
+        if r < m - 1:
+            labels[a][r], labels[a][r + 1] = labels[a][r + 1], labels[a][r]
+            continue
+        la, lb = labels[a], labels[a + 1]
+        new_la = la[: m - 1] + [lb[0]]
+        new_lb = [la[m - 1]] + lb[1:]
+        factors[a], factors[a + 1] = refactor(factors[a], factors[a + 1], new_la, new_lb)
+        labels[a], labels[a + 1] = new_la, new_lb
+    return factors, labels

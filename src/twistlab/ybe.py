@@ -391,16 +391,8 @@ def block_swap_word(m: int) -> list[tuple]:
     ascending run of adjacent transpositions m-r+1 .. 2m-r, translated
     to letters ('gl', i), ('f',), ('gr', i).  Composition applies the
     rightmost letter first."""
-    word: list[tuple] = []
-    for r in range(1, m + 1):
-        for idx in range(m - r + 1, 2 * m - r + 1):
-            if idx < m:
-                word.append(("gl", idx))
-            elif idx == m:
-                word.append(("f",))
-            else:
-                word.append(("gr", idx - m))
-    return word
+    positions = [j for r in range(1, m + 1) for j in range(m - r, 2 * m - r)]
+    return _letters_from_positions(positions, m)
 
 
 def _letters_from_positions(word_positions, m: int) -> list[tuple]:

@@ -88,6 +88,14 @@ def test_factor_poly_invalid_partition_exit_2():
     assert err
 
 
+def test_factor_poly_huge_entry_exit_2():
+    huge = WORKED_POLY.replace("[[[[4,0]", "[[[[1e300,0]", 1)
+    code, rep, err = invoke(["factor-poly", "--in", huge])
+    assert code == 2
+    assert rep["status"] == "error"
+    assert "Traceback" not in err
+
+
 def test_load_json_complex_and_matrix():
     code, rep, _ = invoke(["act", "--map", "scalar_rational", "--word", "1,1", "--in", "[[1,2],[0.5,0]]"])
     assert code == 0

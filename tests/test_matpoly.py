@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from twistlab.errors import PartitionInvalid, SpectraOverlap
+from twistlab.errors import PartitionInvalid, SizeMismatch, SpectraOverlap
+from twistlab.linalg import min_pair_gap
 from twistlab.matpoly import (
     FactorTuple,
+    MatrixPolynomial,
     act_ordered,
     factorize,
     matrix_polynomial,
@@ -26,6 +28,29 @@ def random_factors(rng, m, d):
             return FactorTuple.from_matrices(mats)
         except Exception:
             continue
+
+
+def spread_factors(seed, m, d):
+    """d factors V diag(block) V^-1 with eigenvalues 2 N(0, 1), at least
+    0.3 apart, and eigenvector matrices of condition below 10."""
+    rng = np.random.default_rng(seed)
+    while True:
+        flat = 2 * (rng.standard_normal(m * d) + 1j * rng.standard_normal(m * d)) / np.sqrt(2)
+        if min_pair_gap(flat) > 0.3:
+            break
+    mats = []
+    for block in flat.reshape(d, m):
+        while True:
+            v = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            if np.linalg.cond(v) < 10:
+                break
+        mats.append(v @ np.diag(block) @ np.linalg.inv(v))
+    return mats, flat.reshape(d, m).tolist()
+
+
+# (m, d, seed): determinants of degree 12 whose roots an interpolated
+# determinant polynomial misses by 0.2 to 1.5
+SPREAD_CASES = [(4, 3, 2), (2, 6, 3), (3, 4, 15)]
 
 
 def test_multiply_single_factor():
@@ -58,10 +83,26 @@ def test_spectrum_single_factor():
 
 def test_spectrum_is_union_of_factor_spectra():
     rng = np.random.default_rng(11)
-    ft = random_factors(rng, 2, 3)
-    roots = spectrum(multiply(ft))
-    expected = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in ft.factors]))
-    assert np.max(np.abs(np.sort_complex(roots) - expected)) < 1e-7
+    cases = [random_factors(rng, 2, 3).factors]
+    cases += [spread_factors(seed, m, d)[0] for m, d, seed in SPREAD_CASES]
+    for mats in cases:
+        roots = spectrum(multiply(mats))
+        expected = np.sort_complex(np.concatenate([np.linalg.eigvals(b) for b in mats]))
+        assert np.max(np.abs(np.sort_complex(roots) - expected)) < 1e-7
+
+
+@pytest.mark.parametrize("m,d,seed", SPREAD_CASES)
+def test_factorize_round_trip_degree_12(m, d, seed):
+    mats, blocks = spread_factors(seed, m, d)
+    ft = factorize(multiply(mats), blocks)
+    assert max(np.linalg.norm(a - b) for a, b in zip(ft.factors, mats)) < 1e-8
+
+
+def test_degree_zero_polynomial_rejected():
+    with pytest.raises(SizeMismatch):
+        MatrixPolynomial(2, ())
+    with pytest.raises(SizeMismatch):
+        matrix_polynomial(2, [])
 
 
 def test_transpose_pair_scalar():
