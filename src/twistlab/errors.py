@@ -63,5 +63,11 @@ class UnknownR(TwistlabError):
     """No built-in R-matrix with the requested name."""
 
 
+class InputInvalid(TwistlabError, ValueError):
+    """An input lies outside what the routine accepts: lattice parameters
+    beyond the supported box, or the zero element where a nonzero one is
+    needed.  Also a ValueError, so that handlers of ValueError see it."""
+
+
 class SchemaError(TwistlabError):
     """JSON input does not match the wire schema; message names the field path."""

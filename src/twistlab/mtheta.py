@@ -35,6 +35,7 @@ import numpy as np
 
 from ._kernels import small_det, theta_eval, theta_eval_grid
 from .errors import (
+    InputInvalid,
     NonGeneric,
     NullityMismatch,
     PartitionInvalid,
@@ -80,15 +81,15 @@ class LatticeParams:
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "n", int(self.n))
         if not (cmath.isfinite(self.tau) and cmath.isfinite(self.c)):
-            raise ValueError("tau and c must be finite")
+            raise InputInvalid("tau and c must be finite")
         if self.tau.imag < 0.3:
-            raise ValueError("Im tau must be at least 0.3 for the series to converge fast")
+            raise InputInvalid("Im tau must be at least 0.3 for the series to converge fast")
         if not 1 <= self.m <= 4:
-            raise ValueError("m outside the supported desk scale 1..4")
+            raise InputInvalid("m outside the supported desk scale 1..4")
         if not 1 <= self.n <= 3:
-            raise ValueError("n outside the supported desk scale 1..3")
+            raise InputInvalid("n outside the supported desk scale 1..3")
         if abs(self.c.imag) > 8.0:
-            raise ValueError("Im c outside the supported range |Im c| <= 8")
+            raise InputInvalid("Im c outside the supported range |Im c| <= 8")
 
     @property
     def L(self) -> int:
@@ -105,6 +106,18 @@ class LatticeParams:
     @property
     def omega2(self) -> complex:
         return self.tau / self.m
+
+
+@lru_cache(maxsize=None)
+def _monomials(m: int, n: int) -> np.ndarray:
+    """The flattened monomial gamma_1^a gamma_2^b of every element
+    (a, b, s) of a degree-n space, (m^2 n, m^2).  Cached per (m, n) and
+    read-only."""
+    g1, g2 = clifford_pair(m)
+    mono = [np.linalg.matrix_power(g1, i) @ np.linalg.matrix_power(g2, k) for i in range(m) for k in range(m)]
+    out = np.repeat(np.reshape(mono, (m * m, m * m)), n, axis=0)
+    out.flags.writeable = False
+    return out
 
 
 class MThetaBasis:
@@ -154,9 +167,7 @@ class MThetaBasis:
         self.coeffs = np.exp(2j * np.pi * expo - np.pi * slope[:, None] ** 2 / (n * t))
         self.ks = (b + m * s)[:, None] + m * n * js.astype(np.float64)
         self._a = a
-        g1, g2 = clifford_pair(m)
-        mono = [np.linalg.matrix_power(g1, i) @ np.linalg.matrix_power(g2, k) for i in range(m) for k in range(m)]
-        self._mono = np.repeat(np.reshape(mono, (m * m, m * m)), n, axis=0)
+        self._mono = _monomials(m, n)
         # probes in the (1, tau) cell normalize residuals; those in the
         # (1/m, tau/m) cell, where interpolation rows are evaluated, set
         # the row floor
@@ -247,7 +258,7 @@ class ThetaElement:
         j = int(np.argmax(np.abs(self.coeffs)))
         piv = self.coeffs[j]
         if piv == 0:
-            raise ValueError("cannot normalize the zero element")
+            raise InputInvalid("cannot normalize the zero element")
         return replace(self, coeffs=self.coeffs / piv)
 
     def with_zeros(self, zeros) -> "ThetaElement":
@@ -619,17 +630,30 @@ def _best_fit_scalar(a: np.ndarray, b: np.ndarray) -> complex:
     return np.vdot(b, a) / denom
 
 
+def _product_values(elements, zs) -> np.ndarray:
+    """Values of the ordered product of elements at zs: (P, m, m)."""
+    vals = elements[0].eval(zs)
+    for e in elements[1:]:
+        vals = np.matmul(vals, e.eval(zs))
+    return vals
+
+
 def _product_residual(factors, reference) -> float:
-    """Relative residual of the ordered product of factors against
-    reference up to one scalar, at 20 probe points spaced by 0.017."""
-    zs = np.array([f1 + f2 * reference.params.tau for f1, f2 in _PROBE_FRACS] * 5) + 0.017 * np.arange(20)
-    prod = factors[0].eval(zs)
-    for fk in factors[1:]:
-        prod = np.matmul(prod, fk.eval(zs))
-    prod = prod.ravel()
-    ref = reference.eval(zs).ravel()
+    """Relative residual of the ordered product of factors against the
+    ordered product of reference up to one scalar, at 20 probe points
+    spaced by 0.017.  A reference that vanishes there fails it."""
+    zs = np.array([f1 + f2 * reference[0].params.tau for f1, f2 in _PROBE_FRACS] * 5) + 0.017 * np.arange(20)
+    prod = _product_values(factors, zs).ravel()
+    ref = _product_values(reference, zs).ravel()
+    unit = np.abs(ref).max()
+    if not unit > 0:
+        return math.inf
+    # each in units of its largest entry, so that the norms do not
+    # overflow where the product is large; the scalar fit absorbs them
+    prod = prod / np.abs(prod).max()
+    ref = ref / unit
     s = _best_fit_scalar(ref, prod)
-    return float(np.linalg.norm(prod * s - ref) / max(np.linalg.norm(ref), 1e-300))
+    return float(np.linalg.norm(prod * s - ref) / np.linalg.norm(ref))
 
 
 def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
@@ -637,9 +661,10 @@ def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
 
     Returns (f1, g1) with f g = f1 g1 pointwise up to normalization
     scalars, the zero sets exchanged, and the c parameters exchanged
-    along with them: the factorization of f g (`factorize_theta`) with
-    the zero blocks [S(g), S(f)] and the c split [c_g, c_f], certified
-    by its quotient and product residuals.
+    along with them: the factorization of f g with the zero blocks
+    [S(g), S(f)] and the c split [c_g, c_f], as in `factorize_theta`.
+    f g is read only through the values of f and g; its coefficients
+    and its degree-2 space are never formed.
     """
     if f.params.n != 1 or g.params.n != 1:
         raise PartitionInvalid("theta transposition acts on degree-1 elements")
@@ -653,7 +678,7 @@ def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
     )
     if gap < CELL_GATE:
         raise SpectraOverlap(f"zero sets collide modulo the cell (gap {gap:.2e})")
-    f1, g1 = factorize_theta(multiply_elements(f, g), [g.zeros, f.zeros], [g.params.c, f.params.c], tol=tol)
+    f1, g1 = _factor_product([f, g], [g.zeros, f.zeros], [g.params.c, f.params.c], tol)
     return f1, g1
 
 
@@ -661,18 +686,29 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
     """Ordered factorization into degree-1 elements with prescribed
     zero blocks and c split.
 
-    Peels the rightmost factor repeatedly: kernel vectors of f at the
-    block points interpolate the factor f_k, and the quotient h f_k^{-1}
-    is solved exactly over coordinates, as the least-squares solution of
-    M q = h with M the right multiplier of f_k.  The relative
-    coefficient residual of that solve certifies each quotient, and the
-    product of the factors against f at probe points certifies the
-    whole factorization.
+    Every factor is interpolated, peeled right to left: for h = f_0 ...
+    f_{n-1} and a point p of block k, the other factors are invertible
+    at p, so ker f_k(p) = (f_{k+1} ... f_{n-1})(p) ker h(p).  The kernel
+    vectors of f at block k, carried through the factors already peeled,
+    interpolate f_k with c = csplit[k]; there is no quotient.  The
+    product of the factors against f at probe points certifies the whole
+    factorization.
     """
-    p = f.params
-    n, m = p.n, p.m
+    return _factor_product([f], partition, csplit, tol)
+
+
+def _factor_product(elements, partition, csplit, tol: float) -> list[ThetaElement]:
+    """`factorize_theta` of the ordered product of elements, read only
+    through its values, the matmul of theirs.  m, tau, the degree and c
+    of the product come from the elements; its space is never built."""
+    first = elements[0].params
+    m, tau = first.m, first.tau
+    if any(e.params.m != m or e.params.tau != tau for e in elements):
+        raise PartitionInvalid("product factors must share m and tau")
+    n = sum(e.params.n for e in elements)
+    c = sum(e.params.c for e in elements)
     blocks = [[complex(z) for z in block] for block in partition]
-    cs = [complex(c) for c in csplit]
+    cs = [complex(x) for x in csplit]
     if len(blocks) != n or len(cs) != n:
         raise PartitionInvalid(f"need {n} blocks and {n} c values")
     if any(len(b) != m for b in blocks):
@@ -680,35 +716,27 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
     flat = [z for b in blocks for z in b]
     for i in range(len(flat)):
         for j in range(i + 1, len(flat)):
-            if modular_distance(flat[i], flat[j], p.omega1, p.omega2) < CELL_GATE:
+            if modular_distance(flat[i], flat[j], first.omega1, first.omega2) < CELL_GATE:
                 raise PartitionInvalid("partition blocks are not disjoint modulo the cell")
-    if abs(sum(cs) - p.c) > 1e-8 * max(1.0, abs(p.c)):
+    if abs(sum(cs) - c) > 1e-8 * max(1.0, abs(c)):
         raise PartitionInvalid("c split does not sum to the c of the element")
-    for b, c in zip(blocks, cs):
-        sr = zero_sum_residual(b, LatticeParams(tau=p.tau, m=m, n=1, c=c))
+    factor_params = [LatticeParams(tau=tau, m=m, n=1, c=ck) for ck in cs]
+    for b, pk in zip(blocks, factor_params):
+        sr = zero_sum_residual(b, pk)
         if sr > 1e-6:
             raise SumRuleViolated(f"block sum misses its c congruence by {sr:.2e}")
     if n == 1:
-        return [f.normalized().with_zeros(tuple(blocks[0]))]
-    cur = f
-    peeled: list[ThetaElement] = []
-    for k in range(n - 1, 0, -1):
-        block = blocks[k]
-        vs = [_kernel_vector(val, m) for val in cur.eval(np.array(block))]
-        fk = interpolate(LatticeParams(tau=p.tau, m=m, n=1, c=cs[k]), block, vs)
-        # the quotient carries the c of the blocks left of k, summed
-        # afresh so that the last factor gets csplit[0] exactly
-        qp = LatticeParams(tau=p.tau, m=m, n=k, c=sum(cs[:k]))
-        _, mat = _right_multiplier(fk, qp)
-        x = np.linalg.lstsq(mat, cur.coeffs, rcond=None)[0]
-        resid = float(np.linalg.norm(mat @ x - cur.coeffs) / np.linalg.norm(cur.coeffs))
-        if resid > tol:
-            raise ResidualTooLarge(f"quotient residual {resid:.2e} above {tol:.0e}")
-        cur = ThetaElement(qp, x)
-        peeled.append(fk)
-    factors = [cur.normalized().with_zeros(tuple(blocks[0]))] + list(reversed(peeled))
-    rel = _product_residual(factors, f)
-    if rel > tol:
+        return [elements[0].normalized().with_zeros(tuple(blocks[0]))]
+    peeled: list[ThetaElement] = []  # f_{n-1}, f_{n-2}, ...
+    for k in range(n - 1, -1, -1):
+        pts = np.array(blocks[k])
+        vs = [_kernel_vector(val, m) for val in _product_values(elements, pts)]
+        for fj in peeled:  # f_{n-1} acts first, f_{k+1} last
+            vs = [val @ v for val, v in zip(fj.eval(pts), vs)]
+        peeled.append(interpolate(factor_params[k], blocks[k], vs))
+    factors = peeled[::-1]
+    rel = _product_residual(factors, elements)
+    if not rel <= tol:
         raise ResidualTooLarge(f"factor product misses the element by {rel:.2e}")
     return factors
 
@@ -717,18 +745,18 @@ def act_ordered_theta(sigma, factors, tol: float = 1e-6) -> list[ThetaElement]:
     """Ordered symmetric-group action on tuples of degree-1 elements.
 
     Interior adjacent swaps relabel the ordered zero set of one factor;
-    boundary swaps refactor the product of the adjacent pair with the
-    exchanged zero blocks and matching exchanged c split.
+    boundary swaps refactor the product of the adjacent pair, read
+    through the values of the pair, with the exchanged zero blocks and
+    matching exchanged c split.
     """
     factors = [_ensure_zeros(f) for f in factors]
     if any(f.params.n != 1 for f in factors):
         raise PartitionInvalid("ordered action runs on degree-1 factors")
 
     def refactor(fa, fb, new_la, new_lb):
-        h = multiply_elements(fa, fb)
         cb = sum(new_lb) - 0.5
         ca = (fa.params.c + fb.params.c) - cb
-        return factorize_theta(h, [new_la, new_lb], [ca, cb], tol=tol)
+        return _factor_product([fa, fb], [new_la, new_lb], [ca, cb], tol)
 
     fs, labels = _act_on_blocks(sigma, factors, [f.zeros for f in factors], refactor)
     return [f.with_zeros(tuple(z)) for f, z in zip(fs, labels)]

@@ -274,3 +274,24 @@ def test_non_finite_input_exit_2(argv):
     assert rep["error"]["type"] == "SchemaError"
     assert "finite" in rep["error"]["message"]
     assert "Traceback" not in err
+
+
+def _theta_json(c, coeffs):
+    return {"tau": [0, 1], "m": 1, "n": 1, "c": [c.real, c.imag], "coeffs": [[x.real, x.imag] for x in coeffs]}
+
+
+def test_theta_mu_exchanges_c_whose_sum_leaves_the_box():
+    # c_f + c_g has Im 9.5 > 8, but the exchange never forms f g
+    f, g = _theta_json(0.1 + 5j, [1]), _theta_json(0.4 + 4.5j, [1])
+    code, rep, err = invoke(["theta-mu", "--in", json.dumps({"f": f, "g": g})])
+    assert code == 0
+    assert "Traceback" not in err
+    assert rep["artifacts"]["f1"]["c"] == g["c"] and rep["artifacts"]["g1"]["c"] == f["c"]
+
+
+def test_theta_factor_of_the_zero_element_exit_2():
+    payload = {"element": _theta_json(0.3 + 0.2j, [0]), "partition": [[[0.8, 0.2]]], "csplit": [[0.3, 0.2]]}
+    code, rep, err = invoke(["theta-factor", "--in", json.dumps(payload)])
+    assert code == 2
+    assert rep["error"]["type"] == "InputInvalid"
+    assert "Traceback" not in err

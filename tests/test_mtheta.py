@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistlab import mtheta
-from twistlab.errors import NonGeneric, NullityMismatch, ResidualTooLarge, SumRuleViolated
+from twistlab.errors import NonGeneric, NullityMismatch, ResidualTooLarge, SumRuleViolated, TwistlabError
 from twistlab.mtheta import (
     LatticeParams,
     MThetaBasis,
@@ -560,7 +560,7 @@ def test_product_is_exact_over_the_box(m, nf, ng, re_tau, im_tau, cs, seed):
 
 def test_product_and_exchange_need_no_fit(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("sampled fit called")
+        raise AssertionError("sampled fit or product called")
 
     rng = np.random.default_rng(15)
     dom = ThetaDomain(2, TAU)
@@ -570,15 +570,62 @@ def test_product_and_exchange_need_no_fit(monkeypatch):
         h = multiply_elements(f, g)
         zs = np.array([0.11 + 0.21j, 0.42 + 0.62j, 0.77 + 0.37j])
         assert _relative_product_error(f, g, h, zs) < 1e-12
-    # the exchange, factorization and the ordered action solve their
-    # quotients over coordinates and draw no sample points
+    # the exchange, factorization and the ordered action interpolate
+    # every factor, draw no sample points and never form a product; the
+    # exchange looks up no space of degree 2
+    looked_up = []
+    lookup = mtheta.mtheta_basis
+
+    def recording(params):
+        looked_up.append(params)
+        return lookup(params)
+
+    for name in ("_right_multiplier", "multiply_elements"):
+        monkeypatch.setattr(mtheta, name, forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(mtheta, "mtheta_basis", recording)
     f1, g1 = theta_mu(f, g)
     assert f1.zeros == g.zeros and g1.zeros == f.zeros
+    assert looked_up and all(p.n == 1 for p in looked_up)
     fac = factorize_theta(h, [list(f.zeros), list(g.zeros)], [f.params.c, g.params.c])
     assert dom.distance(fac[0], f) < 1e-9 and dom.distance(fac[1], g) < 1e-9
     out = act_ordered_theta([0, 2, 1, 3], [f, g])
     assert out[0].zeros == (f.zeros[0], g.zeros[0]) and out[1].zeros == (f.zeros[1], g.zeros[1])
+
+
+def test_out_of_box_product_and_zero_element_raise_typed_errors():
+    # the c of f g leaves the box |Im c| <= 8 (the exchange of this pair,
+    # which never forms f g, is a CLI test)
+    one = np.ones(1, dtype=complex)
+    f = mtheta.ThetaElement(LatticeParams(tau=TAU, m=1, n=1, c=0.1 + 5j), one)
+    g = mtheta.ThetaElement(LatticeParams(tau=TAU, m=1, n=1, c=0.4 + 4.5j), one)
+    with pytest.raises(TwistlabError, match="Im c"):
+        multiply_elements(f, g)
+    # at m = 1 no kernel vector reads the element, so the zero element
+    # of degree 2 reaches the product certificate, which rejects it
+    zero = mtheta.ThetaElement(LatticeParams(tau=TAU, m=1, n=2, c=2 * C0), np.zeros(2, dtype=complex))
+    with pytest.raises(ResidualTooLarge):
+        factorize_theta(zero, [[C0 + 0.8], [C0 + 0.2]], [C0 + 0.3, C0 - 0.3])
+
+
+def test_exchange_certificate_holds_where_the_product_is_large():
+    # c_f + c_g has Im -12.6; f g reaches about 1e154 at the certificate's
+    # probes, where a plain Frobenius norm overflows
+    tau, m = 0.2 + 1.1j, 4
+    rng = np.random.default_rng(3)
+
+    def draw(im_c):
+        zs = [complex(rng.random() / m + rng.random() * tau / m) for _ in range(m)]
+        c = sum(zs) - 0.5
+        c += round((im_c - c.imag) / (tau.imag / m)) * tau / m
+        vs = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(m)]
+        return interpolate(LatticeParams(tau=tau, m=m, n=1, c=c), zs, vs)
+
+    f, g = draw(-5.3), draw(-7.3)
+    f1, g1 = theta_mu(f, g)
+    assert f1.zeros == g.zeros and g1.zeros == f.zeros
+    assert mtheta._product_residual([f1, g1], [f, g]) < 1e-10
 
 
 def test_product_certificate_rejects_a_wrong_product(monkeypatch):
@@ -624,10 +671,10 @@ def test_product_certificate_fails_closed_where_the_product_is_large(monkeypatch
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_quotient_certificate_rejects_an_indivisible_element(n):
-    # at m = 1 the peeled factor is the degree-1 theta with the last
-    # block's zero, whatever the element; a step of 1e-4 out of the range
-    # of its right multiplier leaves an element it does not divide
+def test_product_certificate_rejects_an_indivisible_element(n):
+    # at m = 1 each peeled factor is the degree-1 theta with its block's
+    # zero, whatever the element; a step of 1e-4 out of the range of the
+    # last factor's right multiplier leaves an element they do not divide
     rng = np.random.default_rng(19 + n)
     dom = ThetaDomain(1, TAU)
     fs = [dom.sample(rng) for _ in range(n)]
@@ -643,7 +690,7 @@ def test_quotient_certificate_rejects_an_indivisible_element(n):
     step -= q @ (q.conj().T @ step)
     step *= 1e-4 * np.linalg.norm(h.coeffs) / np.linalg.norm(step)
     bad = mtheta.ThetaElement(h.params, h.coeffs + step)
-    with pytest.raises(ResidualTooLarge, match="quotient residual"):
+    with pytest.raises(ResidualTooLarge, match="factor product misses the element"):
         factorize_theta(bad, blocks, cs)
 
 
@@ -678,7 +725,7 @@ def test_factorize_theta_round_trips_over_the_box(m, n, re_tau, im_tau, cs, seed
     fac = factorize_theta(h, blocks, cs)
     dom = ThetaDomain(m, tau)
     assert max(dom.distance(a, b) for a, b in zip(fac, fs)) < 1e-8
-    assert mtheta._product_residual(fac, h) < 1e-10
+    assert mtheta._product_residual(fac, [h]) < 1e-10
 
 
 def _lattice_distance_numpy(w, o1, o2):
