@@ -50,7 +50,12 @@ from .transpositions import PointDomain, TwistedMap, _act_on_blocks, redraw
 
 CELL_GATE = 1e-4
 _TAIL_CUT = 40.0
-_PROBE_FRACS = ((0.137, 0.211), (0.613, 0.377), (0.829, 0.641), (0.283, 0.907))
+
+
+def _probes(tau: complex) -> np.ndarray:
+    """Four fixed points of the (1, tau) cell where products and
+    distances are certified."""
+    return np.array([0.137, 0.613, 0.829, 0.283]) + np.array([0.211, 0.377, 0.641, 0.907]) * tau
 
 
 def clifford_pair(m: int):
@@ -145,7 +150,10 @@ class MThetaBasis:
 
     Evaluation moves each point into the strip 0 <= Im z < Im tau / m
     with the tau/m law.  There the series share one window of j that
-    keeps every term above exp(-40) of the largest.
+    keeps every term above exp(-40) of the largest.  The size of a
+    combination at a point of the strip is its largest single term
+    (`envelope`), the one scale behind interpolation and `det_zeros`;
+    building a basis evaluates nothing.
     """
 
     def __init__(self, params: LatticeParams):
@@ -164,19 +172,12 @@ class MThetaBasis:
         peak = -slope / (n * t)
         js = np.arange(int(np.floor(peak.min() - 1 - half)), int(np.ceil(peak.max() + half)) + 1)
         expo = js * (k0[:, None] * p.tau - p.c + a[:, None] / m) + n * p.tau * js * (js - 1) / 2
-        self.coeffs = np.exp(2j * np.pi * expo - np.pi * slope[:, None] ** 2 / (n * t))
+        # log |coefficient|, kept apart so that term sizes never overflow
+        self._log_coeffs = -2 * np.pi * expo.imag - np.pi * slope[:, None] ** 2 / (n * t)
+        self.coeffs = np.exp(2j * np.pi * expo.real + self._log_coeffs)
         self.ks = (b + m * s)[:, None] + m * n * js.astype(np.float64)
         self._a = a
         self._mono = _monomials(m, n)
-        # probes in the (1, tau) cell normalize residuals; those in the
-        # (1/m, tau/m) cell, where interpolation rows are evaluated, set
-        # the row floor
-        probes = np.array([f1 + f2 * p.tau for f1, f2 in _PROBE_FRACS])
-        th = self.series(np.concatenate([probes, probes / m]))
-        self._probe_series = th[:, : len(_PROBE_FRACS)]
-        # largest Frobenius norm of an element at the small-cell probes;
-        # each value is a series times a monomial with m unit entries
-        self._probe_scale = float(np.sqrt(m) * np.abs(th[:, len(_PROBE_FRACS) :]).max())
 
     def slots(self):
         """Where each term sits: the monomial a m + b of its element,
@@ -208,7 +209,9 @@ class MThetaBasis:
 
     def eval(self, x, zs) -> np.ndarray:
         """Matrix values of the combination with coefficients x: (P, m, m)."""
-        return self._combine(x, self.series(zs))
+        th = self.series(zs) * np.asarray(x, dtype=np.complex128)[:, None]
+        m = self.params.m
+        return (th.T @ self._mono).reshape(-1, m, m)
 
     def eval_grid(self, x, us, vs) -> np.ndarray:
         """Matrix values of the combination x at the points us[i] + vs[j],
@@ -220,14 +223,18 @@ class MThetaBasis:
         m = self.params.m
         return (th.T @ self._mono).reshape(-1, m, m)
 
-    def at_probes(self, x) -> np.ndarray:
-        """Matrix values of the combination x at the (1, tau)-cell probes."""
-        return self._combine(x, self._probe_series)
-
-    def _combine(self, x, th) -> np.ndarray:
-        th = th * np.asarray(x, dtype=np.complex128)[:, None]
-        m = self.params.m
-        return (th.T @ self._mono).reshape(-1, m, m)
+    def envelope(self, x, ws) -> np.ndarray:
+        """Size of the combination x, (..., dim), at the points ws of the
+        strip 0 <= Im w < Im tau / m: sqrt(m) times its largest single
+        term |x_d coeffs[d, j]| exp(-2 pi ks[d, j] Im w), (..., P).  It
+        depends on Im w alone and does not vanish at a zero of the
+        combination; the largest term is found in log form, so that none
+        overflows."""
+        # each element's largest term, (dim, P)
+        terms = (self._log_coeffs[..., None] - self.ks[..., None] * (2 * np.pi * np.imag(ws))).max(axis=1)
+        with np.errstate(divide="ignore"):  # a zero coordinate has no terms
+            logx = np.log(np.abs(x))
+        return math.sqrt(self.params.m) * np.exp((logx[..., None] + terms).max(axis=-2))
 
 
 @lru_cache(maxsize=512)
@@ -337,17 +344,12 @@ _NEWTON_CAP = 60
 _NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
 
 
-def _envelope(p: LatticeParams, zs) -> np.ndarray:
-    """The growth envelope exp(pi m n (Im m z)^2 / Im tau) of det f; it
-    depends on Im z alone."""
-    return np.exp(np.pi * p.m * p.n * np.imag(p.m * zs) ** 2 / p.tau.imag)
-
-
 def _normalized_det(f: ThetaElement, zs) -> np.ndarray:
-    """|det f| over its growth envelope, so that values compare across
-    heights in the cell.  det f comes from `ThetaElement.det`, the
-    closed form `small_det` at arbitrary points."""
-    return np.abs(f.det(zs)) / _envelope(f.params, zs)
+    """|det f| over the m-th power of f's envelope at points zs of the
+    strip, so that values compare across heights in the cell.  det f
+    comes from `ThetaElement.det`, the closed form `small_det` at
+    arbitrary points."""
+    return np.abs(f.det(zs)) / f.basis().envelope(f.coeffs, zs) ** f.params.m
 
 
 def _newton_roots(f: ThetaElement, zs: np.ndarray, limit: float):
@@ -383,14 +385,14 @@ def _newton_roots(f: ThetaElement, zs: np.ndarray, limit: float):
 def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
     """Locate the m n determinant zeros in the fundamental cell.
 
-    Scan: |det f| on a 48 x 48 mesh of the (1/m, tau/m) cell,
-    normalized by the theta growth envelope so local minima are
-    meaningful at every height.  The mesh is the outer sum of its two
-    axes, so the series come from the grid kernel `theta_eval_grid`
-    and the determinants from the closed form `small_det`; the
-    envelope depends on the height alone and is computed once per
-    height.  The Newton starts are the grid's periodic 8-neighbour
-    local minima and its 2 m n + 4 smallest cells.
+    Scan: |det f| on a 48 x 48 mesh of the (1/m, tau/m) cell, over the
+    m-th power of f's envelope (`MThetaBasis.envelope`, its largest
+    term) so local minima are meaningful at every height.  The mesh is
+    the outer sum of its two axes, so the series come from the grid
+    kernel `theta_eval_grid` and the determinants from the closed form
+    `small_det`; the envelope depends on the height alone and is
+    computed once per height.  The Newton starts are the grid's
+    periodic 8-neighbour local minima and its 2 m n + 4 smallest cells.
 
     Newton: central differences on all starts at once (`_newton_roots`),
     at most 60 steps.  Converged roots are moved into the cell, and a
@@ -413,7 +415,7 @@ def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
         us, vs = xs * o1, xs * o2
         zs = (us[:, None] + vs[None, :]).ravel()
         dets = small_det(basis.eval_grid(f.coeffs, us, vs)).reshape(g, g)
-        ng = np.abs(dets) / _envelope(p, vs)
+        ng = np.abs(dets) / basis.envelope(f.coeffs, vs) ** p.m
         scale0 = float(ng.max())
         # periodic local minima, read off the grid with a wrapped border
         # of one cell, then the smallest cells; a mask rather than
@@ -471,12 +473,14 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
     1e-6; the homogeneous linear system over the basis coefficients must
     then have a one-dimensional nullspace (singular values below 1e-8 of
     the largest), and the element must vanish on the prescribed vectors
-    to 1e-7 of its size at the probes.
+    to 1e-7 of its envelope at each point.
 
     Each point p = w + s/m + q tau/m is first moved to w in the
     (1/m, tau/m) cell.  By the two laws f(p) is a scalar times
     M^{-1} f(w) M with M = gamma_1^s gamma_2^q, so the conditions become
-    f(w) M v = 0.
+    f(w) M v = 0.  The rows of each point are taken in units of the
+    basis envelope there (`MThetaBasis.envelope` with every coordinate
+    1), which keeps them comparable across the cell at any Im c.
     """
     p = params
     points = [complex(z) for z in points]
@@ -498,27 +502,21 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
         # M is unitary, so M v keeps |v| = 1
         mono = basis._mono[((s % m) * m + q % m) * p.n].reshape(m, m)
         us.append(mono @ (v / np.linalg.norm(v)))
-    beval = basis.eval_basis(np.array(ws))
-    rows = []
-    for beta, u in enumerate(us):
-        block = np.einsum("dij,j->id", beval[:, beta], u)
-        # scale by the size of the terms entering the cancellation so the
-        # genuinely null direction stays null after row balancing; the
-        # floor keeps rows that are tiny outright (the 1x1 scalar case)
-        # well below the rank cut instead of amplifying their noise
-        sc = max(float(np.abs(block).max()), 1e-6 * basis._probe_scale)
-        rows.append(block / sc)
-    mat = np.vstack(rows)
-    _, sv, vh = np.linalg.svd(mat)
+    ws, us = np.array(ws), np.array(us)
+    beval = basis.eval_basis(ws)
+    # the envelope of each basis element at each point: the rows take the
+    # largest, the residual the largest weighted by the solution's coordinates
+    env = basis.envelope(np.eye(basis.dim), ws)
+    rows = np.einsum("dpij,pj->pid", beval, us) / env.max(axis=0)[:, None, None]
+    _, sv, vh = np.linalg.svd(rows.reshape(-1, basis.dim))
     anchor = max(float(sv[0]), 1.0)
     nullity = int(np.sum(sv <= 1e-8 * anchor))
     if nullity != 1:
         raise NullityMismatch(f"interpolation nullity {nullity}, expected 1")
     elem = ThetaElement(p, vh[-1].conj(), zeros=tuple(points)).normalized()
-    vals = np.einsum("d,dpij->pij", elem.coeffs, beval)
-    scale = float(np.linalg.norm(basis.at_probes(elem.coeffs), axis=(1, 2)).max())
-    worst = max(float(np.linalg.norm(val @ u)) for val, u in zip(vals, us)) / max(scale, 1e-300)
-    if worst > 1e-7:
+    vals = np.einsum("d,dpij,pj->pi", elem.coeffs, beval, us)
+    worst = float((np.linalg.norm(vals, axis=1) / (np.abs(elem.coeffs)[:, None] * env).max(axis=0)).max())
+    if not worst <= 1e-7:
         raise ResidualTooLarge(f"interpolation residual {worst:.2e} above 1e-07")
     return elem
 
@@ -602,12 +600,13 @@ def multiply_elements(f: ThetaElement, g: ThetaElement, resid_tol: float = 1e-8)
     """
     pr, mat = _right_multiplier(g, f.params)
     x = mat @ f.coeffs
-    ref = np.matmul(f.basis().at_probes(f.coeffs), g.basis().at_probes(g.coeffs))
+    zs = _probes(f.params.tau)
+    ref = np.matmul(f.eval(zs), g.eval(zs))
     # in units of each probe's largest entry, so that the norms do not
     # overflow where f g is large
     unit = np.abs(ref).max(axis=(1, 2), keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.linalg.norm((mtheta_basis(pr).at_probes(x) - ref) / unit, axis=(1, 2))
+        err = np.linalg.norm((mtheta_basis(pr).eval(x, zs) - ref) / unit, axis=(1, 2))
         resid = float((err / np.linalg.norm(ref / unit, axis=(1, 2))).max())
     if not resid <= resid_tol:
         raise ResidualTooLarge(f"product residual {resid:.2e} above {resid_tol:.0e}")
@@ -623,13 +622,6 @@ def _ensure_zeros(f: ThetaElement) -> ThetaElement:
     return f.with_zeros(det_zeros(f).points)
 
 
-def _best_fit_scalar(a: np.ndarray, b: np.ndarray) -> complex:
-    denom = np.vdot(b, b)
-    if denom == 0:
-        return 1.0 + 0j
-    return np.vdot(b, a) / denom
-
-
 def _product_values(elements, zs) -> np.ndarray:
     """Values of the ordered product of elements at zs: (P, m, m)."""
     vals = elements[0].eval(zs)
@@ -638,22 +630,26 @@ def _product_values(elements, zs) -> np.ndarray:
     return vals
 
 
-def _product_residual(factors, reference) -> float:
-    """Relative residual of the ordered product of factors against the
-    ordered product of reference up to one scalar, at 20 probe points
-    spaced by 0.017.  A reference that vanishes there fails it."""
-    zs = np.array([f1 + f2 * reference[0].params.tau for f1, f2 in _PROBE_FRACS] * 5) + 0.017 * np.arange(20)
-    prod = _product_values(factors, zs).ravel()
-    ref = _product_values(reference, zs).ravel()
-    unit = np.abs(ref).max()
-    if not unit > 0:
+def _projective_residual(x, ref) -> float:
+    """Relative residual of ref against the best multiple of x.  Each
+    vector is taken in units of its largest entry, so that the norms do
+    not overflow where the values are large; the multiple absorbs the
+    units.  A vector that vanishes or is not finite gives inf."""
+    x, ref = np.ravel(x), np.ravel(ref)
+    ux, ur = np.abs(x).max(), np.abs(ref).max()
+    if not (0 < ux < math.inf and 0 < ur < math.inf):
         return math.inf
-    # each in units of its largest entry, so that the norms do not
-    # overflow where the product is large; the scalar fit absorbs them
-    prod = prod / np.abs(prod).max()
-    ref = ref / unit
-    s = _best_fit_scalar(ref, prod)
-    return float(np.linalg.norm(prod * s - ref) / np.linalg.norm(ref))
+    x, ref = x / ux, ref / ur
+    s = np.vdot(x, ref) / np.vdot(x, x)
+    return float(np.linalg.norm(s * x - ref) / np.linalg.norm(ref))
+
+
+def _product_residual(factors, reference) -> float:
+    """`_projective_residual` of the ordered product of factors against
+    the ordered product of reference, at 20 probe points spaced by
+    0.017."""
+    zs = np.tile(_probes(reference[0].params.tau), 5) + 0.017 * np.arange(20)
+    return _projective_residual(_product_values(factors, zs), _product_values(reference, zs))
 
 
 def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
@@ -804,20 +800,12 @@ class ThetaDomain(PointDomain):
         return redraw(trial, "degree-1 theta element")
 
     def distance(self, a: ThetaElement, b: ThetaElement) -> float:
-        if a.params == b.params:
-            x, y = a.coeffs, b.coeffs
-        else:
-            zs = np.array([f1 + f2 * self.tau for f1, f2 in _PROBE_FRACS])
-            x = a.eval(zs).ravel()
-            y = b.eval(zs).ravel()
-        nx = np.linalg.norm(x)
-        ny = np.linalg.norm(y)
-        if nx == 0 or ny == 0:
-            return 1.0
         # projective distance as a direct residual; the 1 - cos^2 form
         # cannot resolve anything below sqrt(eps)
-        s = np.vdot(y, x) / (ny * ny)
-        return float(np.linalg.norm(x - s * y) / nx)
+        if a.params == b.params:
+            return _projective_residual(b.coeffs, a.coeffs)
+        zs = _probes(self.tau)
+        return _projective_residual(b.eval(zs), a.eval(zs))
 
 
 def theta_map(m: int = 1, tau: complex = 1j) -> TwistedMap:

@@ -412,7 +412,7 @@ def test_interpolate_points_outside_the_cell(y, side):
 
 @pytest.mark.parametrize("m,n,tau", [(3, 3, 1j), (4, 3, 1j), (4, 3, 2j)])
 def test_interpolate_round_trips_at_large_sizes(m, n, tau):
-    # the row floor comes from the (1/m, tau/m) cell, where the rows are
+    # each point's rows are taken in units of the basis envelope there
     rng = np.random.default_rng(m * 10 + n)
     dom = ThetaDomain(m, tau)
     for _ in range(20):
@@ -464,9 +464,9 @@ def test_det_zeros_keeps_the_better_root(monkeypatch):
 
 
 def test_det_zeros_retires_non_finite_steps(monkeypatch):
-    # det f is NaN more than one cell above or below the cell, where the
-    # walk of the regression element's top-row start goes; that start
-    # must retire at once instead of stepping on to the cap
+    # det f is NaN more than one cell above or below the cell; a Newton
+    # start there must retire at once instead of stepping on to the cap,
+    # while a start beside a zero converges to it
     det = mtheta.ThetaElement.det
     nan_points = []
 
@@ -477,10 +477,11 @@ def test_det_zeros_retires_non_finite_steps(monkeypatch):
         return np.where(far, np.nan, det(self, zs))
 
     monkeypatch.setattr(mtheta.ThetaElement, "det", det_nan_far)
-    zs = det_zeros(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS))
-    assert sum(nan_points) > 0
-    assert zs.newton_steps < mtheta._NEWTON_CAP
-    assert _zero_error(zs.points, N3_ZEROS) < 1e-12
+    starts = np.array([0.5 + 2.5j, N3_ZEROS[1] + 0.01])
+    roots, steps = mtheta._newton_roots(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS), starts, 6.0)
+    assert nan_points[0] == 3 and sum(nan_points) == 3
+    assert steps < mtheta._NEWTON_CAP
+    assert len(roots) == 1 and abs(roots[0] - N3_ZEROS[1]) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -494,15 +495,18 @@ def test_det_zeros_needs_no_lapack_determinant(monkeypatch, m):
     assert len(det_zeros(f).points) == m
 
 
-@pytest.mark.xfail(raises=NullityMismatch, strict=True, reason="global row floor; growth-envelope item of ROADMAP.md")
 def test_interpolate_m1_at_the_cell_corner_with_im_c_2():
-    # a draw of the sweep below at 400 examples; the 1x1 row at the
-    # prescribed zero stays above the rank cut
-    interpolate(LatticeParams(tau=0.25 + 1j, m=1, n=1, c=-1 + 2j), [0j], [np.ones(1)])
+    # a draw of the sweep below at 400 examples, where a row floor taken
+    # over the whole cell once kept the 1x1 row at the prescribed zero
+    # above the rank cut
+    f = interpolate(LatticeParams(tau=0.25 + 1j, m=1, n=1, c=-1 + 2j), [0j], [np.ones(1)])
+    at_zero, beside = f.eval(np.array([0j, 0.5])).ravel()
+    assert abs(at_zero) < 1e-12 * abs(beside)
 
 
-# |Im c| > 2 is left to the growth-envelope sweep of ROADMAP.md: near
-# |Im c| = 8 interpolation and det_zeros still fail there
+# the round trip through det_zeros stays at |Im c| <= 2 and Im tau >= 0.5:
+# beyond that det_zeros still misses zeros in the thin cells at m = 4
+# (ROADMAP.md); interpolation alone is swept over the whole box below
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     m=st.integers(1, 4),
@@ -516,15 +520,82 @@ def test_interpolate_m1_at_the_cell_corner_with_im_c_2():
 def test_det_zeros_recovers_interpolated_zeros_over_the_box(m, n, re_tau, im_tau, re_c, im_c, seed):
     tau, c = complex(re_tau, im_tau), complex(re_c, im_c)
     o1, o2 = 1 / m, tau / m
-    rng = np.random.default_rng(seed)
-    pts = list(rng.random(m * n - 1) * o1 + rng.random(m * n - 1) * o2)
-    pts.append(complex(mtheta.reduce_to_cell(c + n / 2 - sum(pts), o1, o2)))
+    pts, vs = _cell_draw(m, n, tau, c, np.random.default_rng(seed))
     assume(all(modular_distance(a, b, o1, o2) > 50 * mtheta.CELL_GATE for i, a in enumerate(pts) for b in pts[:i]))
-    vs = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in pts]
     f = interpolate(LatticeParams(tau=tau, m=m, n=n, c=c), pts, vs)
     zs = det_zeros(f).points
     assert len(zs) == m * n
     assert max(min(modular_distance(a, b, o1, o2) for b in zs) for a in pts) < 1e-9
+
+
+def _cell_draw(m, n, tau, c, rng):
+    """m n random points of the (1/m, tau/m) cell, the last one fixed by
+    the sum rule, and a random kernel vector for each."""
+    o1, o2 = 1 / m, tau / m
+    pts = list(rng.random(m * n - 1) * o1 + rng.random(m * n - 1) * o2)
+    pts.append(complex(mtheta.reduce_to_cell(c + n / 2 - sum(pts), o1, o2)))
+    return pts, [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in pts]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 3),
+    re_tau=st.floats(-0.5, 0.5),
+    im_tau=st.floats(0.3, 3.0),
+    re_c=st.floats(-1.0, 1.0),
+    im_c=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**16),
+)
+def test_interpolate_round_trips_over_the_whole_box(m, n, re_tau, im_tau, re_c, im_c, seed):
+    tau, c = complex(re_tau, im_tau), complex(re_c, im_c)
+    pts, vs = _cell_draw(m, n, tau, c, np.random.default_rng(seed))
+    assume(all(modular_distance(a, b, 1 / m, tau / m) > 50 * mtheta.CELL_GATE for i, a in enumerate(pts) for b in pts[:i]))
+    f = interpolate(LatticeParams(tau=tau, m=m, n=n, c=c), pts, vs)
+    assert f.zeros == tuple(pts)
+    for p, v in zip(pts, vs):
+        # against the largest value on the line through p at the same
+        # height, where the series' terms neither grow nor decay
+        line = np.linalg.norm(f.eval(p + np.arange(1, 8) / (8 * m)), axis=(1, 2)).max()
+        assert np.linalg.norm(f.eval(np.array([p]))[0] @ v) < 1e-9 * line * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_det_zeros_recovers_interpolated_zeros_at_im_c_8(seed):
+    # at (3, 3, i, 8i) the basis values at one edge of the cell are 1e-20
+    # of those at the other
+    pts, vs = _cell_draw(3, 3, 1j, 8j, np.random.default_rng(seed))
+    f = interpolate(LatticeParams(tau=1j, m=3, n=3, c=8j), pts, vs)
+    zs = det_zeros(f).points
+    assert max(min(modular_distance(a, b, 1 / 3, 1j / 3) for b in zs) for a in pts) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_theta_mu_exchanges_a_pair_near_im_c_8(seed):
+    # operands at c = -5.33+7.52i and 3.23-5.07i, each interpolated with
+    # random kernel vectors; the exchange interpolates both factors there
+    tau, m = -0.4 + 0.6j, 3
+    rng = np.random.default_rng(seed)
+    f, g = (
+        interpolate(LatticeParams(tau=tau, m=m, n=1, c=c), *_cell_draw(m, 1, tau, c, rng))
+        for c in (-5.33 + 7.52j, 3.23 - 5.07j)
+    )
+    f1, g1 = theta_mu(f, g)
+    assert f1.zeros == g.zeros and g1.zeros == f.zeros
+    assert mtheta._product_residual([f1, g1], [f, g]) < 1e-10
+    f2, g2 = theta_mu(f1, g1)
+    dom = ThetaDomain(m, tau)
+    assert max(dom.distance(f2, f), dom.distance(g2, g)) < 1e-9
+
+
+def test_distance_holds_where_the_values_are_large():
+    # the element reaches 2e183 at the probes, where a plain norm of its
+    # values overflows; the distance must stay a number and resolve the
+    # 1e-15 step in c
+    p = LatticeParams(tau=8j, m=4, n=1, c=-8j)
+    f = random_element(p, np.random.default_rng(0))
+    g = mtheta.ThetaElement(LatticeParams(tau=8j, m=4, n=1, c=-8j + 1e-15), f.coeffs)
+    assert ThetaDomain(4, 8j).distance(f, g) < 1e-12
 
 
 def _relative_product_error(f, g, h, zs):
