@@ -5,7 +5,9 @@ ordered eigendecompositions, nullity-one kernel vectors, Sylvester
 solves by explicit vectorization, and companion-matrix polynomial
 roots.  Matrices are plain complex128 numpy arrays; tolerances are read
 relative to the scale of the input, with genericity gates defaulting to
-GENERICITY_TOL.
+GENERICITY_TOL.  `nullspace_vector` also takes a stack (..., m, m) and
+returns one kernel vector per matrix, (..., m), from one batched SVD,
+with the same gate on every matrix.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from .errors import (
 GENERICITY_TOL = 1e-7
 
 
-def as_square_matrix(a) -> np.ndarray:
+def as_square_matrix(a, stack: bool = False) -> np.ndarray:
+    """a as a finite complex square matrix, or a stack of them if stack."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
@@ -86,11 +89,14 @@ def min_cross_gap(a_values, b_values) -> float:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(v)))
-    piv = v[j]
-    if piv == 0:
-        return v
-    return v * (abs(piv) / piv)
+    """v with each row's largest-magnitude entry made real positive, by a
+    scalar division per row, which numpy rounds unlike an array division."""
+    v = np.array(v)
+    for row in v.reshape(-1, v.shape[-1]):
+        piv = row[np.abs(row).argmax()]
+        if piv != 0:
+            row *= abs(piv) / piv
+    return v
 
 
 def eigen(a, ordered: bool = True, tol: float = GENERICITY_TOL):
@@ -121,21 +127,23 @@ def eigen(a, ordered: bool = True, tol: float = GENERICITY_TOL):
 
 
 def nullspace_vector(a, tol: float = 1e-8, scale: float | None = None) -> np.ndarray:
-    """Unit kernel vector of a matrix with numerical nullity one.
+    """Unit kernel vector of a matrix with numerical nullity one, or one
+    per matrix of a stack (..., m, m), each under the same gate.
 
     The sign convention makes the largest-magnitude entry real positive.
     scale overrides the largest singular value as the rank reference,
     which matters when the whole matrix is small.
     """
-    a = as_square_matrix(a)
+    a = as_square_matrix(a, stack=True)
     _, s, vh = np.linalg.svd(a)
-    ref = s[0] if scale is None else max(s[0], float(scale))
-    if ref == 0:
+    ref = s[..., :1] if scale is None else np.maximum(s[..., :1], float(scale))
+    if not ref.all():
         raise RankUnexpected("zero matrix has full nullity")
-    nullity = int(np.sum(s <= tol * ref))
-    if nullity != 1:
-        raise RankUnexpected(f"nullity {nullity} at tolerance {tol:.0e}, expected 1")
-    return _fix_phase(vh[-1].conj())
+    nullity = (s <= tol * ref).sum(axis=-1)
+    if (nullity != 1).any():
+        wrong = next(k for k in np.ravel(nullity) if k != 1)
+        raise RankUnexpected(f"nullity {wrong} at tolerance {tol:.0e}, expected 1")
+    return _fix_phase(vh[..., -1, :].conj())
 
 
 def solve_sylvester(a, b, c, tol: float = GENERICITY_TOL) -> np.ndarray:

@@ -207,11 +207,15 @@ class MThetaBasis:
         m = self.params.m
         return (th[:, :, None] * self._mono[:, None, :]).reshape(self.dim, th.shape[1], m, m)
 
-    def eval(self, x, zs) -> np.ndarray:
-        """Matrix values of the combination with coefficients x: (P, m, m)."""
-        th = self.series(zs) * np.asarray(x, dtype=np.complex128)[:, None]
+    def combine(self, x, th) -> np.ndarray:
+        """Matrix values of the combination x from th = series(zs): (P, m, m)."""
+        th = th * np.asarray(x, dtype=np.complex128)[:, None]
         m = self.params.m
         return (th.T @ self._mono).reshape(-1, m, m)
+
+    def eval(self, x, zs) -> np.ndarray:
+        """Matrix values of the combination with coefficients x: (P, m, m)."""
+        return self.combine(x, self.series(zs))
 
     def eval_grid(self, x, us, vs) -> np.ndarray:
         """Matrix values of the combination x at the points us[i] + vs[j],
@@ -230,8 +234,14 @@ class MThetaBasis:
         depends on Im w alone and does not vanish at a zero of the
         combination; the largest term is found in log form, so that none
         overflows."""
-        # each element's largest term, (dim, P)
-        terms = (self._log_coeffs[..., None] - self.ks[..., None] * (2 * np.pi * np.imag(ws))).max(axis=1)
+        return self._envelope(x, self._log_terms(ws))
+
+    def _log_terms(self, ws) -> np.ndarray:
+        """log of each element's largest term at the points ws: (dim, P)."""
+        return (self._log_coeffs[..., None] - self.ks[..., None] * (2 * np.pi * np.imag(ws))).max(axis=1)
+
+    def _envelope(self, x, terms) -> np.ndarray:
+        """`envelope` of x from the table terms = _log_terms(ws)."""
         with np.errstate(divide="ignore"):  # a zero coordinate has no terms
             logx = np.log(np.abs(x))
         return math.sqrt(self.params.m) * np.exp((logx[..., None] + terms).max(axis=-2))
@@ -266,7 +276,7 @@ class ThetaElement:
         piv = self.coeffs[j]
         if piv == 0:
             raise InputInvalid("cannot normalize the zero element")
-        return replace(self, coeffs=self.coeffs / piv)
+        return ThetaElement(self.params, self.coeffs / piv, self.zeros)
 
     def with_zeros(self, zeros) -> "ThetaElement":
         return replace(self, zeros=None if zeros is None else tuple(zeros))
@@ -295,9 +305,10 @@ def lattice_distance(w: complex, o1: complex, o2: complex) -> float:
     """Distance from w to the lattice generated by o1 and o2."""
     o1, o2 = complex(o1), complex(o2)
     x, y = _lattice_solve(complex(w), o1, o2)
-    x -= round(x)
-    y -= round(y)
-    return min(abs((x + dx) * o1 + (y + dy) * o2) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+    r = (x - round(x)) * o1 + (y - round(y)) * o2
+    lo, hi = r - o2, r + o2
+    return min(abs(lo - o1), abs(lo), abs(lo + o1), abs(r - o1), abs(r), abs(r + o1),
+               abs(hi - o1), abs(hi), abs(hi + o1))
 
 
 def _lattice_distances(w: np.ndarray, o1: complex, o2: complex) -> np.ndarray:
@@ -323,7 +334,7 @@ def reduce_to_cell(z, o1: complex, o2: complex):
 def zero_sum_residual(points, params: LatticeParams) -> float:
     """Distance of m * sum(points) from m c + m n / 2 modulo the (1, tau)
     lattice, which is the sum rule satisfied by determinant zeros."""
-    w = params.m * complex(np.sum(np.asarray(points, dtype=np.complex128)))
+    w = params.m * sum(complex(z) for z in points)
     target = params.m * params.c + params.m * params.n / 2.0
     return lattice_distance(w - target, 1.0, params.tau)
 
@@ -458,7 +469,7 @@ def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
 
 def _kernel_vector(mat: np.ndarray, m: int) -> np.ndarray:
     if m == 1:
-        return np.ones(1, dtype=np.complex128)
+        return np.ones(np.shape(mat)[:-1], dtype=np.complex128)
     try:
         return nullspace_vector(mat, tol=1e-5)
     except RankUnexpected as exc:
@@ -487,7 +498,8 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
     vectors = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
     if len(points) != p.m * p.n or len(vectors) != len(points):
         raise PartitionInvalid(f"need {p.m * p.n} points and as many vectors")
-    if any(np.linalg.norm(v) == 0 for v in vectors):
+    norms = [np.linalg.norm(v) for v in vectors]
+    if not all(norms):
         raise PartitionInvalid("kernel vectors must be nonzero")
     sr = zero_sum_residual(points, p)
     if sr > 1e-6:
@@ -495,19 +507,20 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
     basis = mtheta_basis(p)
     m, o1, o2 = p.m, p.omega1, p.omega2
     ws, us = [], []
-    for z, v in zip(points, vectors):
+    for z, v, norm in zip(points, vectors, norms):
         x, y = _lattice_solve(z, o1, o2)
         s, q = math.floor(x), math.floor(y)
         ws.append(z - s * o1 - q * o2)
         # M is unitary, so M v keeps |v| = 1
         mono = basis._mono[((s % m) * m + q % m) * p.n].reshape(m, m)
-        us.append(mono @ (v / np.linalg.norm(v)))
+        us.append(mono @ (v / norm))
     ws, us = np.array(ws), np.array(us)
     beval = basis.eval_basis(ws)
-    # the envelope of each basis element at each point: the rows take the
-    # largest, the residual the largest weighted by the solution's coordinates
-    env = basis.envelope(np.eye(basis.dim), ws)
-    rows = np.einsum("dpij,pj->pid", beval, us) / env.max(axis=0)[:, None, None]
+    # each basis element's largest log term at each point: the rows take
+    # the largest, the residual the envelope of the solution
+    terms = basis._log_terms(ws)
+    scale = math.sqrt(m) * np.exp(terms.max(axis=0))
+    rows = np.einsum("dpij,pj->pid", beval, us) / scale[:, None, None]
     _, sv, vh = np.linalg.svd(rows.reshape(-1, basis.dim))
     anchor = max(float(sv[0]), 1.0)
     nullity = int(np.sum(sv <= 1e-8 * anchor))
@@ -515,7 +528,7 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
         raise NullityMismatch(f"interpolation nullity {nullity}, expected 1")
     elem = ThetaElement(p, vh[-1].conj(), zeros=tuple(points)).normalized()
     vals = np.einsum("d,dpij,pj->pi", elem.coeffs, beval, us)
-    worst = float((np.linalg.norm(vals, axis=1) / (np.abs(elem.coeffs)[:, None] * env).max(axis=0)).max())
+    worst = float((np.linalg.norm(vals, axis=1) / basis._envelope(elem.coeffs, terms)).max())
     if not worst <= 1e-7:
         raise ResidualTooLarge(f"interpolation residual {worst:.2e} above 1e-07")
     return elem
@@ -622,14 +635,6 @@ def _ensure_zeros(f: ThetaElement) -> ThetaElement:
     return f.with_zeros(det_zeros(f).points)
 
 
-def _product_values(elements, zs) -> np.ndarray:
-    """Values of the ordered product of elements at zs: (P, m, m)."""
-    vals = elements[0].eval(zs)
-    for e in elements[1:]:
-        vals = np.matmul(vals, e.eval(zs))
-    return vals
-
-
 def _projective_residual(x, ref) -> float:
     """Relative residual of ref against the best multiple of x.  Each
     vector is taken in units of its largest entry, so that the norms do
@@ -644,12 +649,10 @@ def _projective_residual(x, ref) -> float:
     return float(np.linalg.norm(s * x - ref) / np.linalg.norm(ref))
 
 
-def _product_residual(factors, reference) -> float:
-    """`_projective_residual` of the ordered product of factors against
-    the ordered product of reference, at 20 probe points spaced by
-    0.017."""
-    zs = np.tile(_probes(reference[0].params.tau), 5) + 0.017 * np.arange(20)
-    return _projective_residual(_product_values(factors, zs), _product_values(reference, zs))
+def _residual_points(tau: complex) -> np.ndarray:
+    """The 20 points that certify a factorization: the four probes, five
+    times, spaced by 0.017."""
+    return np.tile(_probes(tau), 5) + 0.017 * np.arange(20)
 
 
 def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
@@ -687,8 +690,9 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
     at p, so ker f_k(p) = (f_{k+1} ... f_{n-1})(p) ker h(p).  The kernel
     vectors of f at block k, carried through the factors already peeled,
     interpolate f_k with c = csplit[k]; there is no quotient.  The
-    product of the factors against f at probe points certifies the whole
-    factorization.
+    product of the factors against f at 20 probe points certifies the
+    whole factorization.  Each space is evaluated once, at the block and
+    the 20 certificate points, and read through `MThetaBasis.combine`.
     """
     return _factor_product([f], partition, csplit, tol)
 
@@ -696,7 +700,9 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
 def _factor_product(elements, partition, csplit, tol: float) -> list[ThetaElement]:
     """`factorize_theta` of the ordered product of elements, read only
     through its values, the matmul of theirs.  m, tau, the degree and c
-    of the product come from the elements; its space is never built."""
+    of the product come from the elements; its space is never built.
+    Each distinct space of an element or factor has one `series` call, at
+    the block points in block order and then the 20 certificate points."""
     first = elements[0].params
     m, tau = first.m, first.tau
     if any(e.params.m != m or e.params.tau != tau for e in elements):
@@ -723,18 +729,29 @@ def _factor_product(elements, partition, csplit, tol: float) -> list[ThetaElemen
             raise SumRuleViolated(f"block sum misses its c congruence by {sr:.2e}")
     if n == 1:
         return [elements[0].normalized().with_zeros(tuple(blocks[0]))]
+    zs = np.concatenate([flat, _residual_points(tau)])
+    series = {p: mtheta_basis(p).series(zs) for p in dict.fromkeys([e.params for e in elements] + factor_params)}
+
+    def values(e: ThetaElement) -> np.ndarray:
+        return e.basis().combine(e.coeffs, series[e.params])
+
+    prod = values(elements[0])
+    for e in elements[1:]:
+        prod = prod @ values(e)
+    nb = len(flat)
+    vs = _kernel_vector(prod[:nb], m)
     peeled: list[ThetaElement] = []  # f_{n-1}, f_{n-2}, ...
     for k in range(n - 1, -1, -1):
-        pts = np.array(blocks[k])
-        vs = [_kernel_vector(val, m) for val in _product_values(elements, pts)]
-        for fj in peeled:  # f_{n-1} acts first, f_{k+1} last
-            vs = [val @ v for val, v in zip(fj.eval(pts), vs)]
-        peeled.append(interpolate(factor_params[k], blocks[k], vs))
-    factors = peeled[::-1]
-    rel = _product_residual(factors, elements)
+        fk = interpolate(factor_params[k], blocks[k], vs[k * m : (k + 1) * m])
+        vals = values(fk)
+        # f_k acts on the blocks before it, after the factors peeled already
+        vs[: k * m] = (vals[: k * m] @ vs[: k * m, :, None])[..., 0]
+        acc = vals[nb:] if not peeled else vals[nb:] @ acc
+        peeled.append(fk)
+    rel = _projective_residual(acc, prod[nb:])
     if not rel <= tol:
         raise ResidualTooLarge(f"factor product misses the element by {rel:.2e}")
-    return factors
+    return peeled[::-1]
 
 
 def act_ordered_theta(sigma, factors, tol: float = 1e-6) -> list[ThetaElement]:

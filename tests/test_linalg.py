@@ -72,6 +72,41 @@ def test_nullspace_at_polynomial_root():
     assert np.linalg.norm(mat @ v) < 1e-8 * max(1.0, np.linalg.norm(mat))
 
 
+def _nullity_one_stack(rng, m, count):
+    """count random m x m matrices of nullity one: (count, m, m)."""
+    a = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    u, s, vh = np.linalg.svd(a)
+    s[:, -1] = 0
+    return (u * s[:, None, :]) @ vh
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_nullspace_stack_matches_one_call_per_matrix(m):
+    mats = _nullity_one_stack(np.random.default_rng(m), m, 6)
+    vs = nullspace_vector(mats)
+    assert vs.shape == (6, m)
+    for a, v in zip(mats, vs):
+        assert np.array_equal(v, nullspace_vector(a))
+    # a (2, 3) stack keeps its leading shape
+    assert np.array_equal(nullspace_vector(mats.reshape(2, 3, m, m)), vs.reshape(2, 3, m))
+
+
+def test_nullspace_stack_rejects_one_full_rank_matrix():
+    mats = _nullity_one_stack(np.random.default_rng(1), 3, 4)
+    mats[2] = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(RankUnexpected, match="nullity 0"):
+        nullspace_vector(mats)
+
+
+def test_nullspace_stack_rejects_a_non_finite_entry():
+    mats = _nullity_one_stack(np.random.default_rng(2), 2, 3)
+    mats[1, 0, 1] = np.nan
+    with pytest.raises(ValueError) as single:
+        nullspace_vector(mats[1])
+    with pytest.raises(type(single.value), match=str(single.value)):
+        nullspace_vector(mats)
+
+
 def test_sylvester_scalar():
     x = solve_sylvester(np.array([[3.0]]), np.array([[1.0]]), np.array([[1.0]]))
     assert np.allclose(x, [[0.5]])

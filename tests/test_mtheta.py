@@ -537,6 +537,20 @@ def _cell_draw(m, n, tau, c, rng):
     return pts, [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in pts]
 
 
+def _ordered_product_residual(factors, reference):
+    """Projective residual of the ordered product of factors against that
+    of reference, at the 20 points that certify a factorization."""
+    zs = mtheta._residual_points(reference[0].params.tau)
+
+    def product(elements):
+        vals = elements[0].eval(zs)
+        for e in elements[1:]:
+            vals = vals @ e.eval(zs)
+        return vals
+
+    return mtheta._projective_residual(product(factors), product(reference))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
     m=st.integers(1, 4),
@@ -582,10 +596,48 @@ def test_theta_mu_exchanges_a_pair_near_im_c_8(seed):
     )
     f1, g1 = theta_mu(f, g)
     assert f1.zeros == g.zeros and g1.zeros == f.zeros
-    assert mtheta._product_residual([f1, g1], [f, g]) < 1e-10
+    assert _ordered_product_residual([f1, g1], [f, g]) < 1e-10
     f2, g2 = theta_mu(f1, g1)
     dom = ThetaDomain(m, tau)
     assert max(dom.distance(f2, f), dom.distance(g2, g)) < 1e-9
+
+
+def _count_series(monkeypatch):
+    """Record the space of every `MThetaBasis.series` call from here on."""
+    calls = []
+    series = MThetaBasis.series
+
+    def counted(self, zs):
+        calls.append(self.params)
+        return series(self, zs)
+
+    monkeypatch.setattr(MThetaBasis, "series", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exchange_evaluates_each_space_once(monkeypatch, m):
+    # c is exchanged, so the factors live in the operands' two spaces:
+    # one series each at the block and certificate points, and one inside
+    # each of the two interpolations
+    dom = ThetaDomain(m, TAU)
+    rng = np.random.default_rng(m)
+    f, g = dom.sample(rng), dom.sample(rng)
+    calls = _count_series(monkeypatch)
+    theta_mu(f, g)
+    assert len(calls) == 4
+
+
+def test_factorization_evaluates_each_space_once(monkeypatch):
+    # the product's space and the two factors', then one series inside
+    # each interpolation
+    m, cs = 2, [C0, -0.2 + 0.4j]
+    rng = np.random.default_rng(4)
+    fs = [interpolate(LatticeParams(tau=TAU, m=m, n=1, c=c), *_cell_draw(m, 1, TAU, c, rng)) for c in cs]
+    h = multiply_elements(*fs)
+    calls = _count_series(monkeypatch)
+    factorize_theta(h, [f.zeros for f in fs], cs)
+    assert len(calls) == 5
 
 
 def test_distance_holds_where_the_values_are_large():
@@ -696,7 +748,7 @@ def test_exchange_certificate_holds_where_the_product_is_large():
     f, g = draw(-5.3), draw(-7.3)
     f1, g1 = theta_mu(f, g)
     assert f1.zeros == g.zeros and g1.zeros == f.zeros
-    assert mtheta._product_residual([f1, g1], [f, g]) < 1e-10
+    assert _ordered_product_residual([f1, g1], [f, g]) < 1e-10
 
 
 def test_product_certificate_rejects_a_wrong_product(monkeypatch):
@@ -796,7 +848,7 @@ def test_factorize_theta_round_trips_over_the_box(m, n, re_tau, im_tau, cs, seed
     fac = factorize_theta(h, blocks, cs)
     dom = ThetaDomain(m, tau)
     assert max(dom.distance(a, b) for a, b in zip(fac, fs)) < 1e-8
-    assert mtheta._product_residual(fac, [h]) < 1e-10
+    assert _ordered_product_residual(fac, [h]) < 1e-10
 
 
 def _lattice_distance_numpy(w, o1, o2):
