@@ -499,8 +499,9 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
     if len(points) != p.m * p.n or len(vectors) != len(points):
         raise PartitionInvalid(f"need {p.m * p.n} points and as many vectors")
     norms = [np.linalg.norm(v) for v in vectors]
-    if not all(norms):
-        raise PartitionInvalid("kernel vectors must be nonzero")
+    # a NaN or infinite entry gives a NaN or infinite norm
+    if not all(0 < norm < math.inf for norm in norms):
+        raise PartitionInvalid("kernel vectors must be finite and nonzero")
     sr = zero_sum_residual(points, p)
     if sr > 1e-6:
         raise SumRuleViolated(f"prescribed zeros miss the sum congruence by {sr:.2e}")

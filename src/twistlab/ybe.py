@@ -14,11 +14,19 @@ machinery share one code path.  The GF layer packages an S_m action on
 the parameter manifold together with one-leg operators G_i and a
 two-leg operator F; their m^2-fold ordered product yields an R-matrix
 for the multiplet exchange.
+
+Operators on several legs act on V_0 (x) V_1 (x) ... with the first leg
+the slowest tensor index, so a basis index is the row-major flattening
+of the legs' indices.  `place` embeds an operator on some of the legs
+as the identity on the others; every residual is a spectral norm, the
+largest singular value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,29 +45,57 @@ from .transpositions import (
 # leg placement utilities
 
 
+@lru_cache(maxsize=128)
+def _leg_table(legs: tuple, dims: tuple) -> np.ndarray:
+    """Where `place` puts each entry of the operator: entry [r, i, j]
+    is the flat position, in the full total x total matrix, of op[i, j]
+    within the block of the other legs' joint index r.  Every other
+    entry of the full matrix is zero.  Cached per (legs, dims), bounded,
+    and read-only."""
+    dims = tuple(int(d) for d in dims)
+    legs = tuple(int(l) for l in legs)
+    n_legs = len(dims)
+    if len(set(legs)) != len(legs) or not all(0 <= l < n_legs for l in legs):
+        raise SizeMismatch(f"legs {list(legs)} must be distinct positions among {n_legs} legs")
+    rest = [i for i in range(n_legs) if i not in legs]
+    d_legs = math.prod(dims[i] for i in legs)
+    d_rest = math.prod(dims[i] for i in rest)
+    # index[a, r]: the full basis index whose legs carry joint index a
+    # (first named leg slowest) and whose other legs carry r
+    index = np.arange(d_legs * d_rest).reshape(dims).transpose(list(legs) + rest).reshape(d_legs, d_rest)
+    total = d_legs * d_rest
+    table = index.T[:, :, None] * total + index.T[:, None, :]
+    table.setflags(write=False)
+    return table
+
+
 def place(op: np.ndarray, legs, dims) -> np.ndarray:
     """Embed an operator acting on the given legs (identity elsewhere).
 
     dims lists every leg dimension; legs names, in the operator's own
-    leg order, the positions it acts on.  The first leg is the slowest
-    tensor index throughout.
+    leg order, the distinct positions it acts on.  The first leg is the
+    slowest tensor index throughout, both of the full space and of the
+    operator: op on legs (0,) of dims (n, n) is kron(op, 1), on legs
+    (1,) it is kron(1, op), and on legs (1, 0) it is conjugated by the
+    flip.  The result is a new array of op's dtype promoted to float.
     """
-    dims = [int(d) for d in dims]
-    legs = [int(l) for l in legs]
-    n_legs = len(dims)
-    rest = [i for i in range(n_legs) if i not in legs]
-    d_legs = int(np.prod([dims[i] for i in legs]))
-    if op.shape != (d_legs, d_legs):
-        raise SizeMismatch(f"operator shape {op.shape} does not match legs {legs} of dims {dims}")
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    full = np.kron(op, np.eye(d_rest))
-    order = legs + rest
-    inv = np.argsort(order)
-    shape = [dims[o] for o in order]
-    tens = full.reshape(shape + shape)
-    perm = list(inv) + [n_legs + int(p) for p in inv]
-    total = int(np.prod(dims))
-    return tens.transpose(perm).reshape(total, total)
+    op = np.asarray(op)
+    table = _leg_table(tuple(legs), tuple(dims))
+    if op.shape != table.shape[1:]:
+        raise SizeMismatch(f"operator shape {op.shape} does not match legs {list(legs)} of dims {list(dims)}")
+    total = table.shape[0] * table.shape[1]
+    full = np.zeros(total * total, dtype=np.promote_types(op.dtype, np.float64))
+    full[table] = op
+    return full.reshape(total, total)
+
+
+@lru_cache(maxsize=32)
+def _identity(d: int, dtype=np.float64) -> np.ndarray:
+    """The d x d identity, built once per (d, dtype), bounded, and
+    read-only."""
+    eye = np.eye(d, dtype=dtype)
+    eye.setflags(write=False)
+    return eye
 
 
 def flip_operator(n: int) -> np.ndarray:
@@ -72,7 +108,9 @@ def flip_operator(n: int) -> np.ndarray:
 
 
 def _specnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
+    """Spectral norm: the largest singular value, which LAPACK returns
+    first."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +144,7 @@ def builtin_R(name: str, map_: TwistedMap, n: int = 2) -> RMatrix:
 def verify_inverse(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Check R(phi(u,v), psi(u,v)) R(u,v) = 1 in spectral norm."""
     map_ = r.twisted_map
-    eye = np.eye(r.n * r.n)
+    eye = _identity(r.n * r.n)
 
     def trial(rng):
         u, v = map_.domain.sample(rng), map_.domain.sample(rng)
@@ -127,7 +165,7 @@ def scattering(r: RMatrix, word, params):
     pts = list(params)
     n_legs = len(pts)
     dims = [r.n] * n_legs
-    op = np.eye(int(np.prod(dims)), dtype=np.complex128)
+    op = _identity(r.n ** n_legs, np.complex128)
     for step, i in enumerate(word):
         i = int(i)
         if not 1 <= i <= n_legs - 1:
@@ -276,7 +314,7 @@ def local_gf_system(base_map: TwistedMap, m: int, n: int = 2, g_ops=None, f_op=N
     transposition: g_i applies the base map inside one tuple at slots
     (i, i+1), f applies it across the boundary slots (m, 1).  Operators
     default to identities, the minimal consistent choice."""
-    m = int(m)
+    m, n = int(m), int(n)
 
     def g_factory(i):
         def g(u):
@@ -293,12 +331,14 @@ def local_gf_system(base_map: TwistedMap, m: int, n: int = 2, g_ops=None, f_op=N
         return u, v
 
     if g_ops is None:
-        g_ops = tuple((lambda u: np.eye(n)) for _ in range(m - 1))
+        eye_n = _identity(n)
+        g_ops = tuple((lambda u: eye_n) for _ in range(m - 1))
     if f_op is None:
-        f_op = lambda u, v: np.eye(n * n)
+        eye_nn = _identity(n * n)
+        f_op = lambda u, v: eye_nn
     return GFSystem(
         m=m,
-        n=int(n),
+        n=n,
         domain=VectorDomain(m),
         g_maps=tuple(g_factory(i) for i in range(1, m)),
         f_map=f_map,
@@ -329,8 +369,10 @@ def gf_verify(sys: GFSystem, samples: int = 50, seed: int = 0, tol: float = 1e-9
     m, n = sys.m, sys.n
     dom = sys.domain
     gs, f = sys.g_maps, sys.f_map
-    eye_n = np.eye(n)
-    eye_nn = np.eye(n * n)
+    eye_n, eye_nn = _identity(n), _identity(n * n)
+    # G on the first or the second tuple's legs of V (x) V
+    left = lambda g: place(g, (0,), (n, n))
+    right = lambda g: place(g, (1,), (n, n))
     for k in range(samples):
         u = dom.sample(rng)
         v = dom.sample(rng)
@@ -370,13 +412,13 @@ def gf_verify(sys: GFSystem, samples: int = 50, seed: int = 0, tol: float = 1e-9
         )
         # operator squares threading the evolving points
         lu, mu_ = f(u, v)
-        lhs = sys.f_op(glast(lu), mu_) @ np.kron(glast_op(lu), eye_n) @ sys.f_op(u, v)
+        lhs = sys.f_op(glast(lu), mu_) @ left(glast_op(lu)) @ sys.f_op(u, v)
         lu2, mu2 = f(glast(u), v)
-        rhs = np.kron(glast_op(lu2), eye_n) @ sys.f_op(glast(u), v) @ np.kron(glast_op(u), eye_n)
+        rhs = left(glast_op(lu2)) @ sys.f_op(glast(u), v) @ left(glast_op(u))
         rep.record(k, _specnorm(lhs - rhs), "f_g_left_square")
-        lhs = sys.f_op(lu, gfirst(mu_)) @ np.kron(eye_n, gfirst_op(mu_)) @ sys.f_op(u, v)
+        lhs = sys.f_op(lu, gfirst(mu_)) @ right(gfirst_op(mu_)) @ sys.f_op(u, v)
         lu3, mu3 = f(u, gfirst(v))
-        rhs = np.kron(eye_n, gfirst_op(mu3)) @ sys.f_op(u, gfirst(v)) @ np.kron(eye_n, gfirst_op(v))
+        rhs = right(gfirst_op(mu3)) @ sys.f_op(u, gfirst(v)) @ right(gfirst_op(v))
         rep.record(k, _specnorm(lhs - rhs), "f_g_right_square")
     return rep
 
@@ -421,9 +463,9 @@ def _letter_operator(sys: GFSystem, letter, pts) -> np.ndarray:
     u, v = pts
     n = sys.n
     if letter[0] == "gl":
-        return np.kron(sys.g_ops[letter[1] - 1](u), np.eye(n))
+        return place(sys.g_ops[letter[1] - 1](u), (0,), (n, n))
     if letter[0] == "gr":
-        return np.kron(np.eye(n), sys.g_ops[letter[1] - 1](v))
+        return place(sys.g_ops[letter[1] - 1](v), (1,), (n, n))
     return np.asarray(sys.f_op(u, v), dtype=np.complex128)
 
 
@@ -454,7 +496,7 @@ def gf_compose(sys: GFSystem, samples: int = 50, seed: int = 0, tol: float = 1e-
 
         def rev(u, v):
             pts = (u, v)
-            op = np.eye(sys.n * sys.n, dtype=np.complex128)
+            op = _identity(sys.n * sys.n, np.complex128)
             for letter in reversed(word):
                 op = _letter_operator(sys, letter, pts) @ op
                 pts = _apply_letter_points(sys, letter, pts)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from twistlab import ybe
 from twistlab.errors import SizeMismatch, UnknownR
 from twistlab.matpoly import pair_map
 from twistlab.transpositions import adjacent_word, builtin_map, act
@@ -21,28 +24,107 @@ from twistlab.ybe import (
     verify_inverse,
     verify_L,
     verify_tybe,
+    _specnorm,
 )
 
 SCALAR = builtin_map("scalar_rational")
 
 
+def _place_by_kron(op, legs, dims):
+    """Reference embedding: kron with the identity on the other legs,
+    then a transpose of the tensor legs into place."""
+    legs = list(legs)
+    rest = [i for i in range(len(dims)) if i not in legs]
+    d_rest = int(np.prod([dims[i] for i in rest]))
+    order = legs + rest
+    inv = [int(p) for p in np.argsort(order)]
+    shape = [dims[o] for o in order]
+    tens = np.kron(op, np.eye(d_rest)).reshape(shape + shape)
+    total = int(np.prod(dims))
+    return tens.transpose(inv + [len(dims) + p for p in inv]).reshape(total, total)
+
+
+def _specnorm_by_norm(a):
+    return float(np.linalg.norm(a, 2))
+
+
 def test_place_matches_kron_layouts():
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(place(a, (0, 1), [2, 2, 3]), np.kron(a, np.eye(3)))
-    assert np.allclose(place(b, (1,), [2, 3]), np.kron(np.eye(2), b))
-    # acting on legs (0, 2) of a 2 x 3 x 2 product
+    for dims in ((2, 2, 1), (2, 2, 3), (3, 2, 2), (2, 2, 2, 2)):
+        for k in (1, 2, 3):
+            for legs in itertools.permutations(range(len(dims)), k):
+                d = int(np.prod([dims[i] for i in legs]))
+                real = rng.standard_normal((d, d))
+                for op in (real, real + 1j * rng.standard_normal((d, d))):
+                    got = place(op, legs, dims)
+                    want = _place_by_kron(op, legs, dims)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (dims, legs)
+                    assert _specnorm(got) == np.linalg.norm(got, 2)
+    # acting on legs (0, 2) of a 2 x 3 x 2 product, against the tensor form
     c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     full = place(c, (0, 2), [2, 3, 2])
     tens = c.reshape(2, 2, 2, 2)
     expected = np.einsum("ikjl,ab->iakjbl", tens, np.eye(3)).reshape(12, 12)
     assert np.allclose(full, expected)
+    assert np.array_equal(place(c, (0, 1), [2, 2]), c)
 
 
 def test_place_rejects_bad_shape():
     with pytest.raises(SizeMismatch):
         place(np.eye(3), (0, 1), [2, 2])
+    for legs in ((0, 0), (-1,), (3,)):
+        with pytest.raises(SizeMismatch):
+            place(np.eye(2), legs, [2, 2, 2])
+
+
+def _equivalence_runs():
+    """Every ybe verifier, the GF layer and scattering at fixed seeds,
+    as plain values that compare with ==."""
+    rng = np.random.default_rng(14)
+    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    maps = (SCALAR, builtin_map("matrix_rational", m=2), pair_map(2))
+    out = []
+    for map_ in maps:
+        for name in ("relabel_id", "relabel_swap"):
+            r = builtin_R(name, map_, 2)
+            out.append(verify_inverse(r, samples=10, seed=1).to_dict())
+            out.append(verify_tybe(r, samples=10, seed=1).to_dict())
+    const = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    randconst = RMatrix("randconst", 2, SCALAR, lambda u, v: const)
+    out.append(verify_inverse(randconst, samples=5, seed=2).to_dict())
+    out.append(verify_tybe(randconst, samples=5, seed=2).to_dict())
+    r_id = builtin_R("relabel_id", SCALAR, 2)
+    r_swap = builtin_R("relabel_swap", SCALAR, 2)
+    fixtures = [builtin_L(n, 2, w) for n, w in (("constant", 1), ("power", 1), ("power", 2), ("diag_u", 1))]
+    fixtures.append(compose_L(fixtures[1], fixtures[2]))
+    for l_op in fixtures:
+        for r in (r_id, r_swap):
+            out.append(verify_L(l_op, r, samples=10, seed=3).to_dict())
+        out.append(q_check(l_op, SCALAR, samples=10, seed=3).to_dict())
+    systems = [local_gf_system(SCALAR, m, 2) for m in (1, 2, 3)]
+    systems.append(local_gf_system(SCALAR, 2, 2, g_ops=(lambda u: c,)))
+    for sys_ in systems:
+        out.append(gf_verify(sys_, samples=5, seed=11).to_dict())
+    for sys_ in systems[:3]:
+        _, r = gf_compose(sys_, samples=10, seed=12)
+        u, v = sys_.domain.sample(rng), sys_.domain.sample(rng)
+        out.append(r(u, v).tolist())
+    pts = tuple(complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4))
+    for r in (r_swap, randconst):
+        for word in ((), (1,), (1, 2, 1), (2, 1, 2), (1, 2, 1, 3, 2, 1), (3, 2, 3, 1, 2, 3)):
+            op, after = scattering(r, word, pts)
+            out.append((op.tolist(), after))
+    return out
+
+
+def test_place_and_specnorm_match_the_kron_reference_bit_for_bit(monkeypatch):
+    got = _equivalence_runs()
+    monkeypatch.setattr(ybe, "place", _place_by_kron)
+    monkeypatch.setattr(ybe, "_specnorm", _specnorm_by_norm)
+    want = _equivalence_runs()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b
 
 
 def test_builtin_r_shapes():
