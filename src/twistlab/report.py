@@ -16,6 +16,7 @@ class VerificationReport:
     argmax_sample: int = -1
     failures: list = field(default_factory=list)
     breakdown: dict = field(default_factory=dict)
+    redraws: int = 0
 
     @property
     def passed(self) -> bool:
@@ -43,4 +44,5 @@ class VerificationReport:
             "argmax_sample": self.argmax_sample,
             "failures": [{"sample": i, "residual": r} for i, r in self.failures],
             "breakdown": {k: v for k, v in sorted(self.breakdown.items())},
+            "redraws": self.redraws,
         }

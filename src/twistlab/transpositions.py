@@ -11,6 +11,14 @@ the symmetric group S_N on N-tuples.  This module holds the map
 abstraction, the closed-form examples (permutation-twisted swap,
 scalar and matrix rational maps), the tuple action, chain invariants
 and the sampling verifiers for the involution and braid identities.
+
+The verifiers draw trials from one seeded stream and accept the generic
+ones in stream order.  Every trial draws its points before it applies
+the map, so for a closed-form map, which has a body over stacks of
+pairs, a whole block of trials is drawn in one call and mapped once per
+stack: the stream is read in the same order as one trial at a time,
+and the accepted samples are the same points.  Other maps run blocks of
+one trial.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .report import VerificationReport
 
 MAX_REDRAW = 16
 MAP_GATE = 1e-6
+_SQRT2 = np.sqrt(2)
 
 
 def point_distance(a, b) -> float:
@@ -51,8 +60,12 @@ class PointDomain:
 class ScalarDomain(PointDomain):
     kind = "scalar"
 
-    def sample(self, rng):
-        return complex(rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+    def sample(self, rng, size: int | None = None):
+        """One point, or a stack of `size` points equal bit for bit to
+        `size` successive single draws."""
+        if size is None:
+            return complex(rng.standard_normal() + 1j * rng.standard_normal()) / _SQRT2
+        return (rng.standard_normal((size, 2)) / _SQRT2).view(np.complex128)[:, 0]
 
 
 class MatrixDomain(PointDomain):
@@ -61,9 +74,14 @@ class MatrixDomain(PointDomain):
     def __init__(self, m: int):
         self.m = int(m)
 
-    def sample(self, rng):
+    def sample(self, rng, size: int | None = None):
+        """One point, or a stack of `size` points equal bit for bit to
+        `size` successive single draws."""
         m = self.m
-        return (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+        if size is None:
+            return (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / _SQRT2
+        x = rng.standard_normal((size, 2, m, m))
+        return (x[:, 0] + 1j * x[:, 1]) / _SQRT2
 
 
 class VectorDomain(PointDomain):
@@ -76,12 +94,32 @@ class VectorDomain(PointDomain):
 
     def sample(self, rng):
         m = self.m
-        return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
+        return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / _SQRT2
+
+
+def _cmul(a, b):
+    """a * b written out in real arithmetic, rounded as Python's complex
+    product is (numpy's complex multiply on arrays may fuse the products),
+    so a stack body forms the same values as a single-pair body."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _sizes(x):
+    """abs of each scalar in a stack (k,), by hypot as Python's abs is,
+    or the Frobenius norm of each matrix in a stack (..., m, m)."""
+    return np.hypot(x.real, x.imag) if x.ndim == 1 else np.linalg.norm(x, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class TwistedMap:
     """Named map mu(u, v) -> (phi, psi) over a point domain.
+
+    A map is given by _apply with an optional gate _is_generic, or, for
+    the closed-form maps, by a body (u, v) -> (phi, psi, generic) that
+    gates and maps a pair in one pass.  _stack is such a body over stacks
+    of pairs along a leading axis; rows that fail the gate get finite
+    placeholders, so nothing divides by or solves a gated-out
+    denominator.
 
     apply raises NonGeneric outside the genericity gate; verifiers
     respond by redrawing the sample.
@@ -89,18 +127,25 @@ class TwistedMap:
 
     name: str
     domain: PointDomain
-    _apply: Callable
+    _apply: Callable | None = None
     _is_generic: Callable | None = None
+    _body: Callable | None = None
+    _stack: Callable | None = None
 
     def is_generic(self, u, v) -> bool:
-        if self._is_generic is None:
-            return True
-        return bool(self._is_generic(u, v))
+        if self._body is not None:
+            return bool(self._body(u, v)[2])
+        return self._is_generic is None or bool(self._is_generic(u, v))
 
     def apply(self, u, v):
-        if not self.is_generic(u, v):
+        if self._body is None:
+            if not self.is_generic(u, v):
+                raise NonGeneric(f"{self.name}: pair fails the genericity gate")
+            return self._apply(u, v)
+        phi, psi, generic = self._body(u, v)
+        if not generic:
             raise NonGeneric(f"{self.name}: pair fails the genericity gate")
-        return self._apply(u, v)
+        return phi, psi
 
     def phi(self, u, v):
         return self.apply(u, v)[0]
@@ -115,6 +160,11 @@ def builtin_map(name: str, m: int = 2, q_scale=1.0 + 0.0j, q_shift=0.0 + 0.0j) -
     q_swap          mu(u, v) = (q(v), q^{-1}(u)), q(u) = q_scale * u + q_shift
     scalar_rational mu(u, v) = (1 - u + u v, u v / (1 - u + u v))
     matrix_rational the same formula on m x m matrices, with a matrix inverse
+
+    q_swap and matrix_rational have one body for a pair and for a stack
+    (a pair is a stack of shape ()); scalar_rational keeps a Python
+    complex body for a pair beside its stack body, which takes the same
+    gate decisions and the same denominators.
     """
     if name == "q_swap":
         q_scale = complex(q_scale)
@@ -122,35 +172,40 @@ def builtin_map(name: str, m: int = 2, q_scale=1.0 + 0.0j, q_shift=0.0 + 0.0j) -
         if q_scale == 0:
             raise ValueError("q_swap needs an invertible affine map")
 
-        def ap_q(u, v):
-            return q_scale * v + q_shift, (u - q_shift) / q_scale
+        def body_q(u, v):
+            return _cmul(q_scale, v) + q_shift, (u - q_shift) / q_scale, True
 
-        return TwistedMap("q_swap", ScalarDomain(), ap_q)
+        return TwistedMap("q_swap", ScalarDomain(), _body=body_q, _stack=body_q)
 
     if name == "scalar_rational":
 
-        def gen_s(u, v):
-            return abs(1 - u + u * v) > MAP_GATE * max(1.0, abs(u), abs(v), abs(u * v))
+        def body_s(u, v):
+            uv = u * v
+            den = 1 - u + uv
+            if abs(den) > MAP_GATE * max(1.0, abs(u), abs(v), abs(uv)):
+                return den, uv / den, True
+            return None, None, False
 
-        def ap_s(u, v):
-            den = 1 - u + u * v
-            return den, u * v / den
+        def stack_s(u, v):
+            uv = _cmul(u, v)
+            den = 1 - u + uv
+            scale = np.maximum(np.maximum(1.0, _sizes(u)), np.maximum(_sizes(v), _sizes(uv)))
+            generic = _sizes(den) > MAP_GATE * scale
+            return den, uv / np.where(generic, den, 1), generic
 
-        return TwistedMap("scalar_rational", ScalarDomain(), ap_s, gen_s)
+        return TwistedMap("scalar_rational", ScalarDomain(), _body=body_s, _stack=stack_s)
 
     if name == "matrix_rational":
-        dom = MatrixDomain(m)
+        eye = np.eye(m)
 
-        def gen_m(u, v):
-            den = np.eye(m) - u + u @ v
-            s = np.linalg.svd(den, compute_uv=False)
-            return s[-1] > MAP_GATE * max(1.0, np.linalg.norm(u), np.linalg.norm(v))
+        def body_m(u, v):
+            uv = u @ v
+            den = eye - u + uv
+            smin = np.linalg.svd(den, compute_uv=False)[..., -1]
+            generic = smin > MAP_GATE * np.maximum(1.0, np.maximum(_sizes(u), _sizes(v)))
+            return den, np.linalg.solve(np.where(generic[..., None, None], den, eye), uv), generic
 
-        def ap_m(u, v):
-            den = np.eye(m) - u + u @ v
-            return den, np.linalg.solve(den, u @ v)
-
-        return TwistedMap("matrix_rational", dom, ap_m, gen_m)
+        return TwistedMap("matrix_rational", MatrixDomain(m), _body=body_m, _stack=body_m)
 
     raise UnknownMap(f"no built-in map named {name!r}")
 
@@ -167,16 +222,80 @@ def redraw(trial, what: str):
     raise NonGeneric(f"{what}: no generic sample after {MAX_REDRAW} draws")
 
 
-def verify_samples(check: str, subject: str, samples: int, seed: int, tol: float, trial) -> VerificationReport:
-    """Record trial(rng), a residual, for each of `samples` seeded samples.
+def verify_samples(
+    check: str, subject: str, samples: int, seed: int, tol: float, trial, trials=None
+) -> VerificationReport:
+    """Record a residual for each of `samples` seeded generic trials.
 
-    A trial is the whole sample (draw, map and residual), so a NonGeneric
-    raised anywhere in it redraws that sample."""
+    A trial is the whole sample (draw, map and residual): trial(rng) runs
+    one and a NonGeneric raised anywhere in it makes the trial
+    non-generic.  trials(rng, k), when given, runs k trials from the same
+    stream in one pass and returns their residuals and generic flags.
+    Generic trials are accepted in stream order; MAX_REDRAW non-generic
+    trials in a row raise NonGeneric, and the report counts the
+    non-generic trials it passed over in `redraws`."""
+    if trials is None:
+        trials = _one_trial(trial)
     rng = np.random.default_rng(seed)
     rep = VerificationReport(check, subject, samples, seed, tol)
-    for k in range(samples):
-        rep.record(k, redraw(lambda: trial(rng), f"{subject}: {check}"))
+    index = run = 0
+    while index < samples:
+        residuals, generic = trials(rng, samples - index)
+        for residual, ok in zip(residuals, generic):
+            if ok:
+                rep.record(index, residual)
+                index += 1
+                run = 0
+                if index == samples:
+                    break
+            else:
+                rep.redraws += 1
+                run += 1
+                if run == MAX_REDRAW:
+                    raise NonGeneric(f"{subject}: {check}: no generic sample after {MAX_REDRAW} draws")
     return rep
+
+
+def _one_trial(trial):
+    """trial(rng) as a block of one trial."""
+
+    def trials(rng, k):
+        try:
+            return (trial(rng),), (True,)
+        except NonGeneric:
+            return (0.0,), (False,)
+
+    return trials
+
+
+def _stacked(map_: TwistedMap, points: int, residual):
+    """Blocks of trials for a map with a stack body: each trial draws
+    `points` points, and residual(stack, pts) returns each trial's
+    residual and generic flag."""
+
+    def trials(rng, k):
+        x = map_.domain.sample(rng, k * points)
+        x = x.reshape((k, points) + x.shape[1:])
+        res, generic = residual(map_._stack, tuple(x[:, j] for j in range(points)))
+        return res.tolist(), np.broadcast_to(generic, res.shape).tolist()
+
+    return trials
+
+
+def _act_stack(stack, word, pts):
+    """act over stacks of tuples; returns the images and where every
+    step was generic."""
+    pts = list(pts)
+    generic = True
+    for i in word:
+        pts[i - 1], pts[i], ok = stack(pts[i - 1], pts[i])
+        generic = generic & ok
+    return pts, generic
+
+
+def _distances(xs, ys):
+    """point_distance between corresponding points of two stacks."""
+    return _sizes(xs - ys) / np.maximum(1.0, np.maximum(_sizes(xs), _sizes(ys)))
 
 
 def verify_involution(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
@@ -188,7 +307,12 @@ def verify_involution(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: 
         u2, v2 = map_.apply(*map_.apply(u, v))
         return max(dom.distance(u2, u), dom.distance(v2, v))
 
-    return verify_samples("involution", map_.name, samples, seed, tol, trial)
+    def residual(stack, pts):
+        back, generic = _act_stack(stack, (1, 1), pts)
+        return np.maximum(*(_distances(x, y) for x, y in zip(back, pts))), generic
+
+    trials = _stacked(map_, 2, residual) if map_._stack is not None else None
+    return verify_samples("involution", map_.name, samples, seed, tol, trial, trials)
 
 
 def verify_braid(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-8) -> VerificationReport:
@@ -201,7 +325,13 @@ def verify_braid(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float
         right = act(map_, (2, 1, 2), pts)
         return max(dom.distance(x, y) for x, y in zip(left, right))
 
-    return verify_samples("braid", map_.name, samples, seed, tol, trial)
+    def residual(stack, pts):
+        left, gl = _act_stack(stack, (1, 2, 1), pts)
+        right, gr = _act_stack(stack, (2, 1, 2), pts)
+        return np.max([_distances(x, y) for x, y in zip(left, right)], axis=0), gl & gr
+
+    trials = _stacked(map_, 3, residual) if map_._stack is not None else None
+    return verify_samples("braid", map_.name, samples, seed, tol, trial, trials)
 
 
 def act(map_: TwistedMap, word, points):

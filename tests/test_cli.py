@@ -38,6 +38,8 @@ def test_verify_map_passes():
     assert rep["schema"] == "twistlab/1"
     assert rep["seed"] == 7
     assert rep["max_residual"] < 1e-10
+    assert rep["artifacts"]["involution"]["redraws"] == 0
+    assert rep["artifacts"]["braid"]["redraws"] == 0
 
 
 def test_pair_swap_worked_example():

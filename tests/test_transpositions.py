@@ -1,10 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from twistlab import transpositions
 from twistlab.errors import NonGeneric, UnknownMap
 from twistlab.matpoly import pair_map
+from twistlab.mtheta import theta_map
+from twistlab.report import VerificationReport
 from twistlab.transpositions import (
     MAX_REDRAW,
+    MatrixDomain,
     ScalarDomain,
     TwistedMap,
     act,
@@ -214,3 +221,234 @@ def test_redraw_cap(verify, points):
     with pytest.raises(NonGeneric, match=f"after {MAX_REDRAW} draws"):
         verify(never)
     assert dom.draws == points * MAX_REDRAW
+
+
+# --- stacked draws and stacked verifiers -------------------------------------
+
+
+DOMAINS = {"scalar": ScalarDomain(), **{f"matrix{m}": MatrixDomain(m) for m in (1, 2, 3, 4)}}
+
+
+@pytest.mark.parametrize("kind", DOMAINS)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_stacked_draws_equal_successive_single_draws(kind, seed):
+    dom = DOMAINS[kind]
+    stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in (1, 5, 32):
+        block = dom.sample(stacked, size)
+        one = np.array([dom.sample(single) for _ in range(size)])
+        assert block.shape == one.shape and block.dtype == np.complex128
+        assert block.tobytes() == one.tobytes()
+    # the stream continues where the stack left it
+    assert np.asarray(dom.sample(stacked)).tobytes() == np.asarray(dom.sample(single)).tobytes()
+
+
+def _reference_samples(check, map_, samples, seed, tol, trial):
+    """The per-sample loop the stacked verifiers replace: each sample is
+    redrawn up to MAX_REDRAW times while its trial raises NonGeneric."""
+    rng = np.random.default_rng(seed)
+    rep = VerificationReport(check, map_.name, samples, seed, tol)
+    for k in range(samples):
+        for _ in range(MAX_REDRAW):
+            try:
+                residual = trial(rng)
+                break
+            except NonGeneric:
+                rep.redraws += 1
+        else:
+            raise NonGeneric(f"{map_.name}: {check}: no generic sample after {MAX_REDRAW} draws")
+        rep.record(k, residual)
+    return rep
+
+
+def reference_involution(map_, samples, seed, tol=1e-9):
+    dom = map_.domain
+
+    def trial(rng):
+        u, v = dom.sample(rng), dom.sample(rng)
+        u2, v2 = map_.apply(*map_.apply(u, v))
+        return max(dom.distance(u2, u), dom.distance(v2, v))
+
+    return _reference_samples("involution", map_, samples, seed, tol, trial)
+
+
+def reference_braid(map_, samples, seed, tol=1e-8):
+    dom = map_.domain
+
+    def trial(rng):
+        pts = tuple(dom.sample(rng) for _ in range(3))
+        left, right = act(map_, (1, 2, 1), pts), act(map_, (2, 1, 2), pts)
+        return max(dom.distance(x, y) for x, y in zip(left, right))
+
+    return _reference_samples("braid", map_, samples, seed, tol, trial)
+
+
+def _same_samples(rep, ref):
+    for key in ("check", "subject", "samples", "seed", "tol"):
+        assert getattr(rep, key) == getattr(ref, key)
+    assert [i for i, _ in rep.failures] == [i for i, _ in ref.failures]
+    assert rep.passed == ref.passed
+    assert rep.redraws == ref.redraws
+    assert abs(rep.max_residual - ref.max_residual) <= 1e-14
+
+
+# (map, MAP_GATE or None for the default, involution samples, braid samples);
+# the raised gates reject a share of the trials, so redraws are compared too
+CLOSED_FORM = {
+    "q_swap": (lambda: builtin_map("q_swap", q_scale=1.5 + 0.5j, q_shift=0.25 - 0.5j), None, 60, 30),
+    "scalar": (lambda: builtin_map("scalar_rational"), None, 60, 30),
+    "scalar_tight": (lambda: builtin_map("scalar_rational"), 0.3, 60, 30),
+    "matrix1": (lambda: builtin_map("matrix_rational", m=1), None, 30, 15),
+    "matrix1_tight": (lambda: builtin_map("matrix_rational", m=1), 0.3, 30, 15),
+    "matrix2": (lambda: builtin_map("matrix_rational", m=2), None, 20, 10),
+    "matrix2_tight": (lambda: builtin_map("matrix_rational", m=2), 0.1, 20, 10),
+    "matrix3": (lambda: builtin_map("matrix_rational", m=3), None, 20, 10),
+    "matrix3_tight": (lambda: builtin_map("matrix_rational", m=3), 0.05, 20, 10),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM)
+def test_stacked_verifiers_match_the_per_sample_reference(monkeypatch, case):
+    make, gate, n_inv, n_braid = CLOSED_FORM[case]
+    if gate is not None:
+        monkeypatch.setattr(transpositions, "MAP_GATE", gate)
+    map_ = make()
+    redraws = 0
+    for seed in range(50):
+        for verify, reference, n in ((verify_involution, reference_involution, n_inv), (verify_braid, reference_braid, n_braid)):
+            rep = verify(map_, samples=n, seed=seed)
+            _same_samples(rep, reference(map_, n, seed))
+            redraws += rep.redraws
+    assert (redraws > 0) == (gate is not None)
+
+
+def test_non_stacked_maps_report_bitwise_as_the_reference():
+    pair, theta = pair_map(2), theta_map(1)
+    for seed in range(3):
+        assert verify_involution(pair, samples=8, seed=seed).to_dict() == reference_involution(pair, 8, seed).to_dict()
+        assert verify_braid(pair, samples=4, seed=seed).to_dict() == reference_braid(pair, 4, seed).to_dict()
+    assert verify_involution(theta, samples=3, seed=1).to_dict() == reference_involution(theta, 3, 1).to_dict()
+    assert verify_braid(theta, samples=2, seed=1).to_dict() == reference_braid(theta, 2, 1).to_dict()
+
+
+def _skewed(stacked: bool):
+    """Not an involution where Re u > 0, with a gate that rejects |u| < 0.5:
+    failures and redraws follow a pattern of the drawn points."""
+
+    def body(u, v):
+        return v, u * (1 + 1e-6 * (u.real > 0)), abs(u) >= 0.5
+
+    if stacked:
+        return TwistedMap("skewed", ScalarDomain(), _body=body, _stack=body)
+    return TwistedMap("skewed", ScalarDomain(), lambda u, v: body(u, v)[:2], lambda u, v: body(u, v)[2])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["per_sample", "stacked"])
+def test_redraws_and_failures_follow_the_drawn_points(stacked):
+    map_ = _skewed(stacked)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        expect_redraws, expect_failures, accepted = 0, [], 0
+        while accepted < 25:
+            u, v = map_.domain.sample(rng), map_.domain.sample(rng)
+            # mu(u, v) = (v, u'), then mu(v, u'): both first points are gated
+            if abs(u) < 0.5 or abs(v) < 0.5:
+                expect_redraws += 1
+                continue
+            if u.real > 0 or v.real > 0:
+                expect_failures.append(accepted)
+            accepted += 1
+        rep = verify_involution(map_, samples=25, seed=seed)
+        assert rep.redraws == expect_redraws and expect_redraws > 0
+        assert [i for i, _ in rep.failures] == expect_failures
+        assert all(4e-7 < r < 2e-6 for _, r in rep.failures)
+        assert rep.to_dict()["redraws"] == expect_redraws
+
+
+def _pairs_at_the_gate(rng, count):
+    """Scalar pairs whose denominator 1 - u + u v sits at t times the gate,
+    for t on both sides of 1, plus pairs with a zero denominator."""
+    us, vs = [], []
+    for t in np.geomspace(0.25, 4.0, count - 2):
+        u = complex(rng.standard_normal(), rng.standard_normal())
+        phase = np.exp(2j * np.pi * rng.random())
+        den = t * transpositions.MAP_GATE * phase
+        for _ in range(3):
+            v = (den - 1 + u) / u
+            den = t * transpositions.MAP_GATE * max(1.0, abs(u), abs(v), abs(u * v)) * phase
+        us.append(u)
+        vs.append((den - 1 + u) / u)
+    return np.array(us + [1, 2]), np.array(vs + [0, 0.5])
+
+
+def _matrix_pairs_at_the_gate(rng, m, count):
+    """Matrix pairs whose denominator I - u + u v has its least singular
+    value at t times the gate, plus the pair u = I, v = 0."""
+    us, vs = [np.eye(m, dtype=complex)], [np.zeros((m, m), dtype=complex)]
+    for t in np.geomspace(0.25, 4.0, count - 1):
+        u = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        w, s, vh = np.linalg.svd(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        v = np.zeros((m, m), dtype=complex)
+        for _ in range(3):
+            s[-1] = t * transpositions.MAP_GATE * max(1.0, np.linalg.norm(u), np.linalg.norm(v))
+            v = np.linalg.solve(u, (w * s) @ vh - np.eye(m) + u)
+        us.append(u)
+        vs.append(v)
+    return np.array(us), np.array(vs)
+
+
+def _rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.linalg.norm(a - b) / np.linalg.norm(b) if np.linalg.norm(b) else np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("name,m", [("q_swap", 1), ("scalar_rational", 1), ("matrix_rational", 2), ("matrix_rational", 3)])
+def test_stack_body_agrees_with_single_apply(name, m):
+    map_ = builtin_map(name, m=m, q_scale=1.5 + 0.5j, q_shift=0.25 - 0.5j)
+    rng = np.random.default_rng(11)
+    count = 10_000 if map_.domain.kind == "scalar" else 5_000
+    u, v = map_.domain.sample(rng, count), map_.domain.sample(rng, count)
+    if name == "scalar_rational":
+        gu, gv = _pairs_at_the_gate(rng, 400)
+    elif name == "matrix_rational":
+        gu, gv = _matrix_pairs_at_the_gate(rng, m, 200)
+    else:
+        gu, gv = u[:0], v[:0]
+    u, v = np.concatenate([u, gu]), np.concatenate([v, gv])
+    phi, psi, generic = map_._stack(u, v)
+    generic = np.broadcast_to(generic, u.shape[:1])
+    if name != "q_swap":
+        assert 0 < generic[count:].sum() < len(gu)
+    for k in range(len(u)):
+        a, b = (complex(u[k]), complex(v[k])) if map_.domain.kind == "scalar" else (u[k], v[k])
+        assert map_.is_generic(a, b) == generic[k]
+        if generic[k]:
+            one = map_.apply(a, b)
+            assert _rel(phi[k], one[0]) <= 1e-15 and _rel(psi[k], one[1]) <= 1e-15
+
+
+def test_gated_out_rows_leave_the_other_rows_alone():
+    rng = np.random.default_rng(5)
+    for map_, bad_u, bad_v in (
+        (builtin_map("scalar_rational"), 1.0 + 0j, 0j),
+        (builtin_map("matrix_rational", m=2), np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)),
+    ):
+        u, v = map_.domain.sample(rng, 8), map_.domain.sample(rng, 8)
+        clean = map_._stack(u, v)
+        u2, v2 = u.copy(), v.copy()
+        u2[[2, 5]], v2[[2, 5]] = bad_u, bad_v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, psi, generic = map_._stack(u2, v2)
+        keep = [0, 1, 3, 4, 6, 7]
+        assert list(np.flatnonzero(~generic)) == [2, 5] and clean[2].all()
+        assert np.array_equal(phi[keep], clean[0][keep]) and np.array_equal(psi[keep], clean[1][keep])
+        assert np.isfinite(phi).all() and np.isfinite(psi).all()
+
+
+@pytest.mark.parametrize("name,m", [("scalar_rational", 2), ("matrix_rational", 2), ("matrix_rational", 3)])
+@pytest.mark.parametrize("verify", [verify_involution, verify_braid])
+def test_stacked_redraw_cap(monkeypatch, name, m, verify):
+    monkeypatch.setattr(transpositions, "MAP_GATE", math.inf)
+    with pytest.raises(NonGeneric, match=f"after {MAX_REDRAW} draws"):
+        verify(builtin_map(name, m=m), samples=3, seed=0)
