@@ -498,6 +498,8 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
     vectors = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
     if len(points) != p.m * p.n or len(vectors) != len(points):
         raise PartitionInvalid(f"need {p.m * p.n} points and as many vectors")
+    if any(v.shape != (p.m,) for v in vectors):
+        raise PartitionInvalid(f"kernel vectors must have {p.m} entries")
     norms = [np.linalg.norm(v) for v in vectors]
     # a NaN or infinite entry gives a NaN or infinite norm
     if not all(0 < norm < math.inf for norm in norms):

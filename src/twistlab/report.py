@@ -29,7 +29,8 @@ class VerificationReport:
             self.argmax_sample = index
         if name is not None:
             self.breakdown[name] = max(self.breakdown.get(name, 0.0), residual)
-        if residual > self.tol:
+        # a NaN residual is no maximum, but it is a failure
+        if not residual <= self.tol:
             self.failures.append((index, residual))
 
     def to_dict(self) -> dict:

@@ -17,8 +17,9 @@ ones in stream order.  Every trial draws its points before it applies
 the map, so for a closed-form map, which has a body over stacks of
 pairs, a whole block of trials is drawn in one call and mapped once per
 stack: the stream is read in the same order as one trial at a time,
-and the accepted samples are the same points.  Other maps run blocks of
-one trial.
+and the accepted samples are the same points.  A block holds at most
+BLOCK_BYTES of its trials' arrays, so memory does not grow with the
+sample count.  Other maps run blocks of one trial.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .report import VerificationReport
 
 MAX_REDRAW = 16
 MAP_GATE = 1e-6
+# bytes a stacked block of trials may hold; blocks read the stream in
+# order, so the cap changes no result
+BLOCK_BYTES = 1 << 24
+# a stacked trial's peak memory per byte of its points and operators
+# (at most 4.6 over the built-in verifiers), rounded up
+_TRIAL_COPIES = 8
 _SQRT2 = np.sqrt(2)
 
 
@@ -268,16 +275,28 @@ def _one_trial(trial):
     return trials
 
 
-def _stacked(map_: TwistedMap, points: int, residual):
+def _block_cap(trial_bytes: int) -> int:
+    """Trials per stacked block for trials of `trial_bytes` bytes each."""
+    return max(1, BLOCK_BYTES // trial_bytes)
+
+
+def _stacked(map_: TwistedMap, points: int, residual, entries: int = 0):
     """Blocks of trials for a map with a stack body: each trial draws
     `points` points, and residual(stack, pts) returns each trial's
-    residual and generic flag."""
+    residual and generic flag (either may be one value for the block).
+    `entries` counts the complex entries of the operators a trial forms
+    (0 for point identities); with the points' entries, times the copies
+    a trial's steps hold at once, it sizes the block."""
+    dom = map_.domain
+    size = dom.m * dom.m if dom.kind == "matrix" else 1
+    cap = _block_cap(_TRIAL_COPIES * 16 * (points * size + entries))
 
     def trials(rng, k):
-        x = map_.domain.sample(rng, k * points)
+        k = min(k, cap)
+        x = dom.sample(rng, k * points)
         x = x.reshape((k, points) + x.shape[1:])
         res, generic = residual(map_._stack, tuple(x[:, j] for j in range(points)))
-        return res.tolist(), np.broadcast_to(generic, res.shape).tolist()
+        return np.broadcast_to(res, (k,)).tolist(), np.broadcast_to(generic, (k,)).tolist()
 
     return trials
 

@@ -10,16 +10,27 @@ and which makes the twisted Yang-Baxter relation
 
 hold.  Both sides are exactly the operator accumulated by the
 scattering words (1,2,1) and (2,1,2), so the verifier and the word
-machinery share one code path.  The GF layer packages an S_m action on
-the parameter manifold together with one-leg operators G_i and a
-two-leg operator F; their m^2-fold ordered product yields an R-matrix
-for the multiplet exchange.
+machinery share one code path, the word loop `_scatter`.  The GF layer
+packages an S_m action on the parameter manifold together with one-leg
+operators G_i and a two-leg operator F; their m^2-fold ordered product
+yields an R-matrix for the multiplet exchange.
 
 Operators on several legs act on V_0 (x) V_1 (x) ... with the first leg
 the slowest tensor index, so a basis index is the row-major flattening
 of the legs' indices.  `place` embeds an operator on some of the legs
 as the identity on the others; every residual is a spectral norm, the
 largest singular value.
+
+Operators also come in stacks along leading axes: `place` and
+`_specnorm` act on each matrix of a stack, and the built-in R- and
+L-operators have an evaluator over stacks of parameters beside the one
+for a single point.  Over a closed-form map, which has a body over
+stacks of pairs, the inverse, Yang-Baxter, L and Q verifiers therefore
+draw, map and measure a block of trials per numpy call, and accept the
+same samples as one trial at a time (see `transpositions`); the
+Yang-Baxter block runs the same word loop on stacks of triples.  Other
+maps and operators (user operators, the composed GF R-matrix,
+`compose_L`) run one trial at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ from .transpositions import (
     PointDomain,
     TwistedMap,
     VectorDomain,
+    _distances,
+    _stacked,
     adjacent_word,
     verify_samples,
 )
@@ -77,16 +90,18 @@ def place(op: np.ndarray, legs, dims) -> np.ndarray:
     slowest tensor index throughout, both of the full space and of the
     operator: op on legs (0,) of dims (n, n) is kron(op, 1), on legs
     (1,) it is kron(1, op), and on legs (1, 0) it is conjugated by the
-    flip.  The result is a new array of op's dtype promoted to float.
+    flip.  Leading axes of op are a stack, placed matrix by matrix.  The
+    result is a new array of op's dtype promoted to float.
     """
     op = np.asarray(op)
     table = _leg_table(tuple(legs), tuple(dims))
-    if op.shape != table.shape[1:]:
+    if op.shape[-2:] != table.shape[1:]:
         raise SizeMismatch(f"operator shape {op.shape} does not match legs {list(legs)} of dims {list(dims)}")
+    stack = op.shape[:-2]
     total = table.shape[0] * table.shape[1]
-    full = np.zeros(total * total, dtype=np.promote_types(op.dtype, np.float64))
-    full[table] = op
-    return full.reshape(total, total)
+    full = np.zeros(stack + (total * total,), dtype=np.promote_types(op.dtype, np.float64))
+    full[..., table] = op[..., None, :, :]
+    return full.reshape(stack + (total, total))
 
 
 @lru_cache(maxsize=32)
@@ -107,10 +122,21 @@ def flip_operator(n: int) -> np.ndarray:
     return p
 
 
-def _specnorm(a: np.ndarray) -> float:
+def _specnorm(a: np.ndarray):
     """Spectral norm: the largest singular value, which LAPACK returns
-    first."""
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    first; an array of them for a stack of matrices."""
+    s = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(s) if s.ndim == 0 else s
+
+
+def _relative_gap(lhs, rhs):
+    """Spectral norm of lhs - rhs relative to the larger side, floor 1."""
+    return _specnorm(lhs - rhs) / np.maximum(np.maximum(1.0, _specnorm(lhs)), _specnorm(rhs))
+
+
+def _over_stacks(map_: TwistedMap, *ops) -> bool:
+    """Whether the map and every operator evaluate stacks."""
+    return map_._stack is not None and all(op._stack is not None for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +145,15 @@ def _specnorm(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RMatrix:
+    """R(u, v) on V (x) V over a twisted map.  _stack, when given, is the
+    evaluator over stacks of pairs along a leading axis; a constant R
+    may return its one matrix, which broadcasts over the stack."""
+
     name: str
     n: int
     twisted_map: TwistedMap
     evaluator: Callable
+    _stack: Callable | None = None
 
     def __call__(self, u, v) -> np.ndarray:
         return self.evaluator(u, v)
@@ -134,11 +165,12 @@ def builtin_R(name: str, map_: TwistedMap, n: int = 2) -> RMatrix:
     n = int(n)
     if name == "relabel_id":
         mat = np.eye(n * n)
-        return RMatrix(name, n, map_, lambda u, v: mat)
-    if name == "relabel_swap":
+    elif name == "relabel_swap":
         mat = flip_operator(n)
-        return RMatrix(name, n, map_, lambda u, v: mat)
-    raise UnknownR(f"no built-in R-matrix named {name!r}")
+    else:
+        raise UnknownR(f"no built-in R-matrix named {name!r}")
+    const = lambda u, v: mat
+    return RMatrix(name, n, map_, const, _stack=const)
 
 
 def verify_inverse(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
@@ -151,7 +183,39 @@ def verify_inverse(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1
         p, q = map_.apply(u, v)
         return _specnorm(r(p, q) @ r(u, v) - eye)
 
-    return verify_samples("inverse", r.name, samples, seed, tol, trial)
+    def residual(stack, pts):
+        u, v = pts
+        p, q, generic = stack(u, v)
+        return _specnorm(r._stack(p, q) @ r._stack(u, v) - eye), generic
+
+    trials = _stacked(map_, 2, residual, r.n**4) if _over_stacks(map_, r) else None
+    return verify_samples("inverse", r.name, samples, seed, tol, trial, trials)
+
+
+def _scatter(evaluate, step, n: int, word, params):
+    """The word loop of `scattering` and of the stacked Yang-Baxter
+    residual, over one tuple of points or over stacks of tuples.
+
+    Each letter i left-multiplies by evaluate(u, v) placed on legs
+    (i, i+1), then advances the pair by step(u, v) -> (phi, psi,
+    generic).  Returns the operator, the final parameters and where
+    every step was generic."""
+    pts = list(params)
+    n_legs = len(pts)
+    dims = [n] * n_legs
+    op = _identity(n**n_legs, np.complex128)
+    generic = True
+    for position, i in enumerate(word):
+        i = int(i)
+        if not 1 <= i <= n_legs - 1:
+            raise ValueError(f"word index {i} out of range for {n_legs} legs")
+        try:
+            op = place(evaluate(pts[i - 1], pts[i]), (i - 1, i), dims) @ op
+            pts[i - 1], pts[i], ok = step(pts[i - 1], pts[i])
+        except NonGeneric as exc:
+            raise NonGeneric(f"non-generic pair at word position {position}") from exc
+        generic = generic & ok
+    return op, tuple(pts), generic
 
 
 def scattering(r: RMatrix, word, params):
@@ -162,27 +226,16 @@ def scattering(r: RMatrix, word, params):
     realizing the same permutation give the same operator and final
     parameters whenever R is a twisted R-matrix.
     """
-    pts = list(params)
-    n_legs = len(pts)
-    dims = [r.n] * n_legs
-    op = _identity(r.n ** n_legs, np.complex128)
-    for step, i in enumerate(word):
-        i = int(i)
-        if not 1 <= i <= n_legs - 1:
-            raise ValueError(f"word index {i} out of range for {n_legs} legs")
-        try:
-            mat = r(pts[i - 1], pts[i])
-            op = place(mat, (i - 1, i), dims) @ op
-            pts[i - 1], pts[i] = r.twisted_map.apply(pts[i - 1], pts[i])
-        except NonGeneric as exc:
-            raise NonGeneric(f"non-generic pair at word position {step}") from exc
-    return op, tuple(pts)
+    apply = r.twisted_map.apply
+    op, pts, _ = _scatter(r, lambda u, v: (*apply(u, v), True), r.n, word, params)
+    return op, pts
 
 
 def verify_tybe(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Twisted Yang-Baxter relation: the words (1,2,1) and (2,1,2) must
     accumulate the same operator and the same final parameters."""
-    dom = r.twisted_map.domain
+    map_ = r.twisted_map
+    dom = map_.domain
 
     def trial(rng):
         pts = tuple(dom.sample(rng) for _ in range(3))
@@ -191,7 +244,14 @@ def verify_tybe(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9
         resid = _specnorm(left_op - right_op)
         return max(resid, max(dom.distance(a, b) for a, b in zip(left_pts, right_pts)))
 
-    return verify_samples("tybe", r.name, samples, seed, tol, trial)
+    def residual(stack, pts):
+        left_op, left_pts, gl = _scatter(r._stack, stack, r.n, (1, 2, 1), pts)
+        right_op, right_pts, gr = _scatter(r._stack, stack, r.n, (2, 1, 2), pts)
+        dist = np.max([_distances(a, b) for a, b in zip(left_pts, right_pts)], axis=0)
+        return np.maximum(_specnorm(left_op - right_op), dist), gl & gr
+
+    trials = _stacked(map_, 3, residual, r.n**6) if _over_stacks(map_, r) else None
+    return verify_samples("tybe", r.name, samples, seed, tol, trial, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +260,14 @@ def verify_tybe(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9
 
 @dataclass(frozen=True)
 class LOperator:
-    """Operator family u -> End(V (x) W), legs ordered (V, W)."""
+    """Operator family u -> End(V (x) W), legs ordered (V, W).  _stack,
+    when given, is the evaluator over a stack of scalar parameters,
+    returning complex matrices (a constant may return its one matrix)."""
 
     n: int
     w: int
     evaluator: Callable
+    _stack: Callable | None = None
 
     def __call__(self, u) -> np.ndarray:
         return np.asarray(self.evaluator(u), dtype=np.complex128)
@@ -222,10 +285,11 @@ def builtin_L(name: str, n: int = 2, w: int = 1) -> LOperator:
     rng = np.random.default_rng(97 + 131 * n + 17 * w)
     if name == "constant":
         mat = rng.standard_normal((n * w, n * w)) + 1j * rng.standard_normal((n * w, n * w))
-        return LOperator(n, w, lambda u: mat)
+        const = lambda u: mat
+        return LOperator(n, w, const, _stack=const)
     if name == "power":
         mat = rng.standard_normal((n * w, n * w)) + 1j * rng.standard_normal((n * w, n * w))
-        return LOperator(n, w, lambda u: u * mat)
+        return LOperator(n, w, lambda u: u * mat, _stack=lambda u: u[..., None, None] * mat)
     if name == "diag_u":
         if w != 1:
             raise SizeMismatch("diag_u fixture is defined for w = 1")
@@ -235,7 +299,13 @@ def builtin_L(name: str, n: int = 2, w: int = 1) -> LOperator:
             d[1] = u
             return np.diag(d)
 
-        return LOperator(n, 1, ev)
+        def stack(u):
+            out = np.zeros(u.shape + (n, n), dtype=np.complex128)
+            out[..., range(n), range(n)] = 1
+            out[..., 1, 1] = u
+            return out
+
+        return LOperator(n, 1, ev, _stack=stack)
     raise UnknownMap(f"no built-in L-operator named {name!r}")
 
 
@@ -247,15 +317,24 @@ def verify_L(l_op: LOperator, r: RMatrix, samples: int = 100, seed: int = 0, tol
     map_ = r.twisted_map
     dims = [r.n, r.n, l_op.w]
 
+    def gap(u, v, p, q, r_ev, l_ev):
+        rmat = place(r_ev(u, v), (0, 1), dims)
+        lhs = rmat @ place(l_ev(u), (0, 2), dims) @ place(l_ev(v), (1, 2), dims)
+        rhs = place(l_ev(p), (0, 2), dims) @ place(l_ev(q), (1, 2), dims) @ rmat
+        return _relative_gap(lhs, rhs)
+
     def trial(rng):
         u, v = map_.domain.sample(rng), map_.domain.sample(rng)
-        p, q = map_.apply(u, v)
-        rmat = place(r(u, v), (0, 1), dims)
-        lhs = rmat @ place(l_op(u), (0, 2), dims) @ place(l_op(v), (1, 2), dims)
-        rhs = place(l_op(p), (0, 2), dims) @ place(l_op(q), (1, 2), dims) @ rmat
-        return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
+        return gap(u, v, *map_.apply(u, v), r, l_op)
 
-    return verify_samples("l_operator", r.name, samples, seed, tol, trial)
+    def residual(stack, pts):
+        u, v = pts
+        p, q, generic = stack(u, v)
+        return gap(u, v, p, q, r._stack, l_op._stack), generic
+
+    scalar = map_.domain.kind == "scalar"
+    trials = _stacked(map_, 2, residual, (r.n * r.n * l_op.w) ** 2) if scalar and _over_stacks(map_, r, l_op) else None
+    return verify_samples("l_operator", r.name, samples, seed, tol, trial, trials)
 
 
 def compose_L(l_a: LOperator, l_b: LOperator) -> LOperator:
@@ -272,23 +351,37 @@ def compose_L(l_a: LOperator, l_b: LOperator) -> LOperator:
     return LOperator(n, l_a.w * l_b.w, ev)
 
 
+def _trace_v(mat: np.ndarray, n: int, w: int) -> np.ndarray:
+    """Partial trace over V of operators on V (x) W, of one matrix or of
+    each matrix of a stack."""
+    return np.einsum("...iaib->...ab", mat.reshape(mat.shape[:-2] + (n, w, n, w)))
+
+
 def q_of(l_op: LOperator, u) -> np.ndarray:
     """Q(u): partial trace of L(u) over the auxiliary leg V."""
-    mat = l_op(u).reshape(l_op.n, l_op.w, l_op.n, l_op.w)
-    return np.einsum("iaib->ab", mat)
+    return _trace_v(l_op(u), l_op.n, l_op.w)
 
 
 def q_check(l_op: LOperator, map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Trace relation Q(u) Q(v) = Q(phi(u,v)) Q(psi(u,v)) on W."""
+    n, w = l_op.n, l_op.w
+
+    def gap(u, v, p, q, l_ev):
+        qu, qv, qp, qq = (_trace_v(l_ev(x), n, w) for x in (u, v, p, q))
+        return _relative_gap(qu @ qv, qp @ qq)
 
     def trial(rng):
         u, v = map_.domain.sample(rng), map_.domain.sample(rng)
-        p, q = map_.apply(u, v)
-        lhs = q_of(l_op, u) @ q_of(l_op, v)
-        rhs = q_of(l_op, p) @ q_of(l_op, q)
-        return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
+        return gap(u, v, *map_.apply(u, v), l_op)
 
-    return verify_samples("q_operator", map_.name, samples, seed, tol, trial)
+    def residual(stack, pts):
+        u, v = pts
+        p, q, generic = stack(u, v)
+        return gap(u, v, p, q, l_op._stack), generic
+
+    scalar = map_.domain.kind == "scalar"
+    trials = _stacked(map_, 2, residual, (n * w) ** 2) if scalar and _over_stacks(map_, l_op) else None
+    return verify_samples("q_operator", map_.name, samples, seed, tol, trial, trials)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,15 @@ def test_theta_interp_names_a_bad_vector():
     assert rep["error"]["message"].startswith("input.vectors[1]: expected an array")
 
 
+def test_theta_interp_wrong_length_vector_exit_2():
+    payload = {"points": [[0.3, 0.1], [0.5, 0.1]], "vectors": [[[1, 0], [0, 0], [1, 0]], [[1, 0], [0.4, 0]]]}
+    code, rep, err = invoke(["theta-interp", "--m", "2", "--n", "1", "--c", "0.3,0.2", "--in", json.dumps(payload)])
+    assert code == 2
+    assert rep["status"] == "error"
+    assert rep["error"] == {"type": "PartitionInvalid", "message": "kernel vectors must have 2 entries"}
+    assert "Traceback" not in err
+
+
 def test_factor_poly_invalid_partition_exit_2():
     bad = WORKED_POLY.replace('[[[3,0],[4,0]],[[1,0],[2,0]]]', '[[[3,0]],[[1,0]]]')
     code, rep, err = invoke(["factor-poly", "--in", bad])

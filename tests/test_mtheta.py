@@ -257,6 +257,15 @@ def test_interpolate_rejects_non_finite_vectors(bad):
         interpolate(params, pts, [np.array([bad, 1.0]), np.array([1.0, 0.4])])
 
 
+@pytest.mark.parametrize("short,long", [(2, 3), (2, 1), (1, 2)])
+def test_interpolate_rejects_wrong_length_vectors(short, long):
+    # numpy would otherwise raise a raw ValueError from the monomial product
+    pts = [0.3 + 0.1j, 0.5 + 0.1j]
+    params = LatticeParams(tau=TAU, m=2, n=1, c=0.3 + 0.2j)
+    with pytest.raises(PartitionInvalid, match="2 entries"):
+        interpolate(params, pts, [np.ones(short), np.ones(long)])
+
+
 def test_quasi_periodicity_of_random_elements():
     rng = np.random.default_rng(7)
     for (m, n) in [(2, 1), (2, 2)]:

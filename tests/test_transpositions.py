@@ -452,3 +452,34 @@ def test_stacked_redraw_cap(monkeypatch, name, m, verify):
     monkeypatch.setattr(transpositions, "MAP_GATE", math.inf)
     with pytest.raises(NonGeneric, match=f"after {MAX_REDRAW} draws"):
         verify(builtin_map(name, m=m), samples=3, seed=0)
+
+
+def _nan_swap(stacked: bool):
+    """mu(u, v) = (NaN, u): every residual is NaN."""
+
+    def body(u, v):
+        return v * math.nan, u, True
+
+    if stacked:
+        return TwistedMap("nan_swap", ScalarDomain(), _body=body, _stack=body)
+    return TwistedMap("nan_swap", ScalarDomain(), lambda u, v: (math.nan, u))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["per_sample", "stacked"])
+def test_a_nan_residual_fails(stacked):
+    map_ = _nan_swap(stacked)
+    for verify in (verify_involution, verify_braid):
+        rep = verify(map_, samples=5, seed=3)
+        assert not rep.passed and rep.to_dict()["status"] == "fail"
+        assert [i for i, _ in rep.failures] == list(range(5))
+        assert all(math.isnan(r) for _, r in rep.failures)
+
+
+def test_record_counts_non_finite_residuals_as_failures():
+    rep = VerificationReport("c", "s", 3, 0, 1e-9)
+    rep.record(0, 1e-12)
+    rep.record(1, math.nan)
+    assert not rep.passed and rep.failures == [(1, rep.failures[0][1])]
+    assert rep.max_residual == 1e-12 and rep.argmax_sample == 0
+    rep.record(2, math.inf)
+    assert rep.max_residual == math.inf and [i for i, _ in rep.failures] == [1, 2]

@@ -1,13 +1,18 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from twistlab import ybe
-from twistlab.errors import SizeMismatch, UnknownR
+from twistlab import transpositions, ybe
+from twistlab.errors import NonGeneric, SizeMismatch, UnknownR
 from twistlab.matpoly import pair_map
-from twistlab.transpositions import adjacent_word, builtin_map, act
+from twistlab.mtheta import theta_map
+from twistlab.report import VerificationReport
+from twistlab.transpositions import MAX_REDRAW, adjacent_word, builtin_map, act, verify_braid, verify_involution
 from twistlab.ybe import (
+    LOperator,
     RMatrix,
     block_swap_perm,
     block_swap_word,
@@ -32,7 +37,13 @@ SCALAR = builtin_map("scalar_rational")
 
 def _place_by_kron(op, legs, dims):
     """Reference embedding: kron with the identity on the other legs,
-    then a transpose of the tensor legs into place."""
+    then a transpose of the tensor legs into place; a stack is placed
+    matrix by matrix."""
+    op = np.asarray(op)
+    if op.ndim > 2:
+        total = int(np.prod(dims))
+        flat = op.reshape((-1,) + op.shape[-2:])
+        return np.array([_place_by_kron(o, legs, dims) for o in flat]).reshape(op.shape[:-2] + (total, total))
     legs = list(legs)
     rest = [i for i in range(len(dims)) if i not in legs]
     d_rest = int(np.prod([dims[i] for i in rest]))
@@ -45,6 +56,9 @@ def _place_by_kron(op, legs, dims):
 
 
 def _specnorm_by_norm(a):
+    a = np.asarray(a)
+    if a.ndim > 2:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
     return float(np.linalg.norm(a, 2))
 
 
@@ -345,3 +359,265 @@ def test_gf_compose_trivial_m2():
 def test_block_swap_word_length():
     for m in (1, 2, 3, 4):
         assert len(block_swap_word(m)) == m * m
+
+
+# --- stacked verifiers against the per-sample reference ----------------------
+
+
+def _reference_samples(check, subject, samples, seed, tol, trial):
+    """The per-sample loop: each sample is redrawn up to MAX_REDRAW times
+    while its trial raises NonGeneric."""
+    rng = np.random.default_rng(seed)
+    rep = VerificationReport(check, subject, samples, seed, tol)
+    for k in range(samples):
+        for _ in range(MAX_REDRAW):
+            try:
+                residual = trial(rng)
+                break
+            except NonGeneric:
+                rep.redraws += 1
+        else:
+            raise NonGeneric(f"{subject}: {check}: no generic sample after {MAX_REDRAW} draws")
+        rep.record(k, residual)
+    return rep
+
+
+def reference_inverse(r, samples, seed, tol=1e-9):
+    map_, eye = r.twisted_map, np.eye(r.n * r.n)
+
+    def trial(rng):
+        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
+        p, q = map_.apply(u, v)
+        return _specnorm(r(p, q) @ r(u, v) - eye)
+
+    return _reference_samples("inverse", r.name, samples, seed, tol, trial)
+
+
+def _reference_scattering(r, word, pts):
+    pts = list(pts)
+    dims = [r.n] * len(pts)
+    op = np.eye(r.n ** len(pts), dtype=np.complex128)
+    for i in word:
+        op = place(r(pts[i - 1], pts[i]), (i - 1, i), dims) @ op
+        pts[i - 1], pts[i] = r.twisted_map.apply(pts[i - 1], pts[i])
+    return op, pts
+
+
+def reference_tybe(r, samples, seed, tol=1e-9):
+    dom = r.twisted_map.domain
+
+    def trial(rng):
+        pts = tuple(dom.sample(rng) for _ in range(3))
+        left_op, left_pts = _reference_scattering(r, (1, 2, 1), pts)
+        right_op, right_pts = _reference_scattering(r, (2, 1, 2), pts)
+        resid = _specnorm(left_op - right_op)
+        return max(resid, max(dom.distance(a, b) for a, b in zip(left_pts, right_pts)))
+
+    return _reference_samples("tybe", r.name, samples, seed, tol, trial)
+
+
+def reference_L(l_op, r, samples, seed, tol=1e-9):
+    map_ = r.twisted_map
+    dims = [r.n, r.n, l_op.w]
+
+    def trial(rng):
+        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
+        p, q = map_.apply(u, v)
+        rmat = place(r(u, v), (0, 1), dims)
+        lhs = rmat @ place(l_op(u), (0, 2), dims) @ place(l_op(v), (1, 2), dims)
+        rhs = place(l_op(p), (0, 2), dims) @ place(l_op(q), (1, 2), dims) @ rmat
+        return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
+
+    return _reference_samples("l_operator", r.name, samples, seed, tol, trial)
+
+
+def reference_q(l_op, map_, samples, seed, tol=1e-9):
+    def q(u):
+        return np.einsum("iaib->ab", l_op(u).reshape(l_op.n, l_op.w, l_op.n, l_op.w))
+
+    def trial(rng):
+        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
+        p, q_ = map_.apply(u, v)
+        lhs, rhs = q(u) @ q(v), q(p) @ q(q_)
+        return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
+
+    return _reference_samples("q_operator", map_.name, samples, seed, tol, trial)
+
+
+def _same_samples(rep, ref):
+    for key in ("check", "subject", "samples", "seed", "tol", "redraws", "passed"):
+        assert getattr(rep, key) == getattr(ref, key), key
+    assert [i for i, _ in rep.failures] == [i for i, _ in ref.failures]
+    assert abs(rep.max_residual - ref.max_residual) <= 1e-14
+
+
+# (map, MAP_GATE or None for the default); the raised gates reject a share
+# of the trials, so redraws are compared too
+STACKED_MAPS = {
+    "q_swap": (lambda: builtin_map("q_swap", q_scale=1.5 + 0.5j, q_shift=0.25 - 0.5j), None),
+    "scalar": (lambda: builtin_map("scalar_rational"), None),
+    "scalar_tight": (lambda: builtin_map("scalar_rational"), 0.3),
+    "matrix1": (lambda: builtin_map("matrix_rational", m=1), None),
+    "matrix2": (lambda: builtin_map("matrix_rational", m=2), None),
+    "matrix2_tight": (lambda: builtin_map("matrix_rational", m=2), 0.1),
+    "matrix3": (lambda: builtin_map("matrix_rational", m=3), None),
+}
+L_FIXTURES = (("constant", 1), ("power", 1), ("power", 2), ("diag_u", 1))
+
+
+@pytest.mark.parametrize("case", STACKED_MAPS)
+def test_stacked_r_verifiers_match_the_per_sample_reference(monkeypatch, case):
+    make, gate = STACKED_MAPS[case]
+    if gate is not None:
+        monkeypatch.setattr(transpositions, "MAP_GATE", gate)
+    map_ = make()
+    rs = [builtin_R(name, map_, 2) for name in ("relabel_id", "relabel_swap")]
+    assert all(r._stack is not None for r in rs)
+    redraws = 0
+    for seed in range(50):
+        for r in rs:
+            for verify, reference, n in ((verify_inverse, reference_inverse, 20), (verify_tybe, reference_tybe, 6)):
+                rep = verify(r, samples=n, seed=seed)
+                _same_samples(rep, reference(r, n, seed))
+                redraws += rep.redraws
+    assert (redraws > 0) == (gate is not None)
+
+
+@pytest.mark.parametrize("case", ["q_swap", "scalar", "scalar_tight"])
+def test_stacked_l_and_q_match_the_per_sample_reference(monkeypatch, case):
+    make, gate = STACKED_MAPS[case]
+    if gate is not None:
+        monkeypatch.setattr(transpositions, "MAP_GATE", gate)
+    map_ = make()
+    rs = [builtin_R(name, map_, 2) for name in ("relabel_id", "relabel_swap")]
+    fixtures = [builtin_L(name, 2, w) for name, w in L_FIXTURES]
+    reports = []
+    for seed in range(50):
+        for l_op in fixtures:
+            for r in rs:
+                reports.append(verify_L(l_op, r, samples=8, seed=seed))
+                _same_samples(reports[-1], reference_L(l_op, r, 8, seed))
+            reports.append(q_check(l_op, map_, samples=16, seed=seed))
+            _same_samples(reports[-1], reference_q(l_op, map_, 16, seed))
+    # some fixtures fail, so failure indices are compared as well
+    assert any(rep.passed for rep in reports) and not all(rep.passed for rep in reports)
+    assert any(rep.redraws for rep in reports) == (gate is not None)
+
+
+def test_diag_u_fails_at_the_reference_samples():
+    ld, r_id = builtin_L("diag_u", 2, 1), builtin_R("relabel_id", SCALAR, 2)
+    for seed in range(5):
+        rep, ref = verify_L(ld, r_id, samples=20, seed=seed), reference_L(ld, r_id, 20, seed)
+        assert rep.failures and [i for i, _ in rep.failures] == [i for i, _ in ref.failures]
+        rep, ref = q_check(ld, SCALAR, samples=20, seed=seed), reference_q(ld, SCALAR, 20, seed)
+        assert rep.failures and [i for i, _ in rep.failures] == [i for i, _ in ref.failures]
+
+
+def test_non_stacked_subjects_report_bitwise_as_the_reference():
+    rng = np.random.default_rng(4)
+    const = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    user_r = RMatrix("randconst", 2, SCALAR, lambda u, v: const)
+    mat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    user_l = LOperator(2, 1, lambda u: u * mat)
+    assert user_r._stack is None and user_l._stack is None
+    for seed in range(3):
+        for r in (user_r, builtin_R("relabel_swap", pair_map(2), 2)):
+            assert verify_inverse(r, samples=6, seed=seed).to_dict() == reference_inverse(r, 6, seed).to_dict()
+            assert verify_tybe(r, samples=3, seed=seed).to_dict() == reference_tybe(r, 3, seed).to_dict()
+        r_id = builtin_R("relabel_id", SCALAR, 2)
+        assert verify_L(user_l, r_id, samples=6, seed=seed).to_dict() == reference_L(user_l, r_id, 6, seed).to_dict()
+        assert q_check(user_l, SCALAR, samples=6, seed=seed).to_dict() == reference_q(user_l, SCALAR, 6, seed).to_dict()
+    r = builtin_R("relabel_swap", theta_map(1), 2)
+    assert verify_inverse(r, samples=2, seed=1).to_dict() == reference_inverse(r, 2, 1).to_dict()
+    assert verify_tybe(r, samples=1, seed=1).to_dict() == reference_tybe(r, 1, 1).to_dict()
+
+
+def test_stacked_place_and_specnorm_equal_each_matrix():
+    rng = np.random.default_rng(3)
+    for dims in ((2, 2), (2, 2, 1), (2, 2, 3), (3, 2, 2)):
+        for legs in itertools.permutations(range(len(dims)), 2):
+            d = dims[legs[0]] * dims[legs[1]]
+            for stack in ((5,), (2, 3)):
+                ops = rng.standard_normal(stack + (d, d)) + 1j * rng.standard_normal(stack + (d, d))
+                got = place(ops, legs, dims)
+                norms = _specnorm(got)
+                assert got.shape[:-2] == stack and norms.shape == stack
+                for idx in np.ndindex(*stack):
+                    assert np.array_equal(got[idx], place(ops[idx], legs, dims))
+                    assert norms[idx] == _specnorm(got[idx])
+    with pytest.raises(SizeMismatch):
+        place(np.ones((3, 2, 2)), (0, 1), [2, 2])
+
+
+def test_stack_evaluators_agree_with_the_pair_evaluators():
+    rng = np.random.default_rng(6)
+    u = SCALAR.domain.sample(rng, 20)
+    v = SCALAR.domain.sample(rng, 20)
+    for name in ("relabel_id", "relabel_swap"):
+        r = builtin_R(name, SCALAR, 3)
+        stack = np.broadcast_to(r._stack(u, v), (20, 9, 9))
+        for k in range(20):
+            assert np.array_equal(stack[k], r(complex(u[k]), complex(v[k])))
+    for name, w in L_FIXTURES + (("power", 3),):
+        l_op = builtin_L(name, 3, w)
+        stack = np.broadcast_to(l_op._stack(u), (20, 3 * w, 3 * w))
+        assert stack.dtype == np.complex128
+        for k in range(20):
+            assert np.array_equal(stack[k], l_op(complex(u[k])))
+
+
+@pytest.mark.parametrize("name,m", [("scalar_rational", 2), ("matrix_rational", 2)])
+def test_stacked_ybe_redraw_cap(monkeypatch, name, m):
+    monkeypatch.setattr(transpositions, "MAP_GATE", math.inf)
+    map_ = builtin_map(name, m=m)
+    r = builtin_R("relabel_swap", map_, 2)
+    runs = [lambda: verify_inverse(r, samples=3, seed=0), lambda: verify_tybe(r, samples=3, seed=0)]
+    if map_.domain.kind == "scalar":
+        l_op = builtin_L("power", 2, 1)
+        runs += [lambda: verify_L(l_op, r, samples=3, seed=0), lambda: q_check(l_op, map_, samples=3, seed=0)]
+    for run in runs:
+        with pytest.raises(NonGeneric, match=f"after {MAX_REDRAW} draws"):
+            run()
+
+
+def _spied(map_, rows):
+    """map_ with a stack body that records how many rows it gets."""
+
+    def stack(u, v):
+        rows.append(len(u))
+        return map_._stack(u, v)
+
+    return dataclasses.replace(map_, _stack=stack)
+
+
+def test_block_cap_bounds_the_rows_and_keeps_the_report(monkeypatch):
+    caps = []
+    block_cap = transpositions._block_cap
+
+    def spied_cap(trial_bytes):
+        caps.append(block_cap(trial_bytes))
+        return caps[-1]
+
+    monkeypatch.setattr(transpositions, "_block_cap", spied_cap)
+    l_op = builtin_L("power", 2, 2)
+    verifiers = {
+        "involution": lambda mp: verify_involution(mp, samples=300, seed=2),
+        "braid": lambda mp: verify_braid(mp, samples=200, seed=2),
+        "inverse": lambda mp: verify_inverse(builtin_R("relabel_swap", mp, 2), samples=200, seed=2),
+        "tybe": lambda mp: verify_tybe(builtin_R("relabel_swap", mp, 2), samples=40, seed=2),
+        "l_operator": lambda mp: verify_L(l_op, builtin_R("relabel_id", mp, 2), samples=40, seed=2),
+        "q_operator": lambda mp: q_check(l_op, mp, samples=100, seed=2),
+    }
+    for map_ in (SCALAR, builtin_map("matrix_rational", m=2)):
+        for check, verify in verifiers.items():
+            if check in ("l_operator", "q_operator") and map_.domain.kind != "scalar":
+                continue
+            monkeypatch.setattr(transpositions, "BLOCK_BYTES", 1 << 40)
+            rows, caps[:] = [], []
+            whole = verify(_spied(map_, rows)).to_dict()
+            assert max(rows) >= whole["samples"]
+            for block_bytes in (1, 40_000):
+                monkeypatch.setattr(transpositions, "BLOCK_BYTES", block_bytes)
+                rows, caps[:] = [], []
+                assert verify(_spied(map_, rows)).to_dict() == whole, (check, block_bytes)
+                assert len(caps) == 1 and max(rows) <= caps[0] < whole["samples"], (check, caps)
