@@ -20,6 +20,7 @@ import numpy as np
 from . import matpoly, mtheta, transpositions, ybe
 from .errors import SchemaError, TwistlabError
 from .mtheta import LatticeParams, ThetaElement
+from .report import json_number
 
 SCHEMA = "twistlab/1"
 
@@ -236,8 +237,8 @@ def report_body(artifacts=None, residual: float = 0.0, tol: float = math.inf, re
     passed = residual <= tol and all(r.passed for r in reports)
     return {
         "status": "pass" if passed else "fail",
-        "max_residual": max([residual] + [r.max_residual for r in reports]),
-        "failures": [{"check": r.check, "sample": i, "residual": v} for r in reports for i, v in r.failures],
+        "max_residual": json_number(max([residual] + [r.max_residual for r in reports])),
+        "failures": [{"check": r.check, "sample": i, "residual": json_number(v)} for r in reports for i, v in r.failures],
         "artifacts": dict(artifacts or {}, **{r.check: r.to_dict() for r in reports}),
     }
 

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def json_number(x):
+    """x, or None (JSON null) where x is NaN or infinite, which strict
+    JSON cannot write."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -24,12 +31,13 @@ class VerificationReport:
 
     def record(self, index: int, residual: float, name: str | None = None) -> None:
         residual = float(residual)
-        if residual > self.max_residual:
-            self.max_residual = residual
+        # a NaN or infinite residual is an infinite maximum, and a failure
+        size = residual if math.isfinite(residual) else math.inf
+        if size > self.max_residual:
+            self.max_residual = size
             self.argmax_sample = index
         if name is not None:
-            self.breakdown[name] = max(self.breakdown.get(name, 0.0), residual)
-        # a NaN residual is no maximum, but it is a failure
+            self.breakdown[name] = max(self.breakdown.get(name, 0.0), size)
         if not residual <= self.tol:
             self.failures.append((index, residual))
 
@@ -39,11 +47,11 @@ class VerificationReport:
             "subject": self.subject,
             "samples": self.samples,
             "seed": self.seed,
-            "tol": self.tol,
+            "tol": json_number(self.tol),
             "status": "pass" if self.passed else "fail",
-            "max_residual": self.max_residual,
+            "max_residual": json_number(self.max_residual),
             "argmax_sample": self.argmax_sample,
-            "failures": [{"sample": i, "residual": r} for i, r in self.failures],
-            "breakdown": {k: v for k, v in sorted(self.breakdown.items())},
+            "failures": [{"sample": i, "residual": json_number(r)} for i, r in self.failures],
+            "breakdown": {k: json_number(v) for k, v in sorted(self.breakdown.items())},
             "redraws": self.redraws,
         }

@@ -13,13 +13,15 @@ scalar and matrix rational maps), the tuple action, chain invariants
 and the sampling verifiers for the involution and braid identities.
 
 The verifiers draw trials from one seeded stream and accept the generic
-ones in stream order.  Every trial draws its points before it applies
-the map, so for a closed-form map, which has a body over stacks of
-pairs, a whole block of trials is drawn in one call and mapped once per
-stack: the stream is read in the same order as one trial at a time,
-and the accepted samples are the same points.  A block holds at most
-BLOCK_BYTES of its trials' arrays, so memory does not grow with the
-sample count.  Other maps run blocks of one trial.
+ones in stream order.  Each identity is written once, as a residual over
+stacks of trials.  Every trial draws its points before it applies the
+map, so for a closed-form map, which has a body over stacks of pairs, a
+whole block of trials is drawn in one call and mapped once per stack:
+the stream is read in the same order as one trial at a time, and the
+accepted samples are the same points.  A block holds at most BLOCK_BYTES
+of its trials' arrays, so memory does not grow with the sample count.
+Other maps run the same residual on blocks of one trial, as lists of
+one point mapped by apply.
 """
 
 from __future__ import annotations
@@ -229,20 +231,14 @@ def redraw(trial, what: str):
     raise NonGeneric(f"{what}: no generic sample after {MAX_REDRAW} draws")
 
 
-def verify_samples(
-    check: str, subject: str, samples: int, seed: int, tol: float, trial, trials=None
-) -> VerificationReport:
+def verify_samples(check: str, subject: str, samples: int, seed: int, tol: float, trials) -> VerificationReport:
     """Record a residual for each of `samples` seeded generic trials.
 
-    A trial is the whole sample (draw, map and residual): trial(rng) runs
-    one and a NonGeneric raised anywhere in it makes the trial
-    non-generic.  trials(rng, k), when given, runs k trials from the same
-    stream in one pass and returns their residuals and generic flags.
-    Generic trials are accepted in stream order; MAX_REDRAW non-generic
-    trials in a row raise NonGeneric, and the report counts the
-    non-generic trials it passed over in `redraws`."""
-    if trials is None:
-        trials = _one_trial(trial)
+    trials(rng, k) runs at most k trials (draw, map and residual) from
+    the stream and returns their residuals and generic flags.  Generic
+    trials are accepted in stream order; MAX_REDRAW non-generic trials in
+    a row raise NonGeneric, and the report counts the non-generic trials
+    it passed over in `redraws`."""
     rng = np.random.default_rng(seed)
     rep = VerificationReport(check, subject, samples, seed, tol)
     index = run = 0
@@ -263,42 +259,49 @@ def verify_samples(
     return rep
 
 
-def _one_trial(trial):
-    """trial(rng) as a block of one trial."""
-
-    def trials(rng, k):
-        try:
-            return (trial(rng),), (True,)
-        except NonGeneric:
-            return (0.0,), (False,)
-
-    return trials
-
-
 def _block_cap(trial_bytes: int) -> int:
     """Trials per stacked block for trials of `trial_bytes` bytes each."""
     return max(1, BLOCK_BYTES // trial_bytes)
 
 
-def _stacked(map_: TwistedMap, points: int, residual, entries: int = 0):
-    """Blocks of trials for a map with a stack body: each trial draws
-    `points` points, and residual(stack, pts) returns each trial's
-    residual and generic flag (either may be one value for the block).
-    `entries` counts the complex entries of the operators a trial forms
-    (0 for point identities); with the points' entries, times the copies
-    a trial's steps hold at once, it sizes the block."""
+def _trials(map_: TwistedMap, points: int, residual, entries: int = 0, ops=()):
+    """Blocks of trials: each trial draws `points` points, and
+    residual(step, pts) returns each trial's residual and generic flag
+    (either may be one value for the block), where step(us, vs) ->
+    (phis, psis, generic) maps stacks of pairs.
+
+    When the map and every operator in `ops` evaluate stacks, a block
+    holds many trials: `entries` counts the complex entries of the
+    operators a trial forms (0 for point identities); with the points'
+    entries, times the copies a trial's steps hold at once, it sizes the
+    block.  Otherwise a block is one trial whose points are lists of
+    one, mapped by apply, and a NonGeneric raised anywhere in it makes
+    the trial non-generic."""
     dom = map_.domain
+    if map_._stack is None or any(op._stack is None for op in ops):
+
+        def step(us, vs):
+            phi, psi = map_.apply(us[0], vs[0])
+            return [phi], [psi], True
+
+        def one(rng, k):
+            try:
+                return residual(step, tuple([dom.sample(rng)] for _ in range(points)))[0], (True,)
+            except NonGeneric:
+                return (0.0,), (False,)
+
+        return one
     size = dom.m * dom.m if dom.kind == "matrix" else 1
     cap = _block_cap(_TRIAL_COPIES * 16 * (points * size + entries))
 
-    def trials(rng, k):
+    def block(rng, k):
         k = min(k, cap)
         x = dom.sample(rng, k * points)
         x = x.reshape((k, points) + x.shape[1:])
         res, generic = residual(map_._stack, tuple(x[:, j] for j in range(points)))
         return np.broadcast_to(res, (k,)).tolist(), np.broadcast_to(generic, (k,)).tolist()
 
-    return trials
+    return block
 
 
 def _act_stack(stack, word, pts):
@@ -312,45 +315,33 @@ def _act_stack(stack, word, pts):
     return pts, generic
 
 
-def _distances(xs, ys):
-    """point_distance between corresponding points of two stacks."""
+def _distances(dom: PointDomain, xs, ys):
+    """Distances between corresponding points of two stacks: arrays in
+    one pass, lists point by point with dom.distance."""
+    if isinstance(xs, list):
+        return [dom.distance(x, y) for x, y in zip(xs, ys)]
     return _sizes(xs - ys) / np.maximum(1.0, np.maximum(_sizes(xs), _sizes(ys)))
 
 
 def verify_involution(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Check mu(mu(u, v)) = (u, v) on seeded generic samples."""
-    dom = map_.domain
-
-    def trial(rng):
-        u, v = dom.sample(rng), dom.sample(rng)
-        u2, v2 = map_.apply(*map_.apply(u, v))
-        return max(dom.distance(u2, u), dom.distance(v2, v))
 
     def residual(stack, pts):
         back, generic = _act_stack(stack, (1, 1), pts)
-        return np.maximum(*(_distances(x, y) for x, y in zip(back, pts))), generic
+        return np.maximum(*(_distances(map_.domain, x, y) for x, y in zip(back, pts))), generic
 
-    trials = _stacked(map_, 2, residual) if map_._stack is not None else None
-    return verify_samples("involution", map_.name, samples, seed, tol, trial, trials)
+    return verify_samples("involution", map_.name, samples, seed, tol, _trials(map_, 2, residual))
 
 
 def verify_braid(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-8) -> VerificationReport:
     """Compare sigma1 sigma2 sigma1 with sigma2 sigma1 sigma2 on triples."""
-    dom = map_.domain
-
-    def trial(rng):
-        pts = tuple(dom.sample(rng) for _ in range(3))
-        left = act(map_, (1, 2, 1), pts)
-        right = act(map_, (2, 1, 2), pts)
-        return max(dom.distance(x, y) for x, y in zip(left, right))
 
     def residual(stack, pts):
         left, gl = _act_stack(stack, (1, 2, 1), pts)
         right, gr = _act_stack(stack, (2, 1, 2), pts)
-        return np.max([_distances(x, y) for x, y in zip(left, right)], axis=0), gl & gr
+        return np.max([_distances(map_.domain, x, y) for x, y in zip(left, right)], axis=0), gl & gr
 
-    trials = _stacked(map_, 3, residual) if map_._stack is not None else None
-    return verify_samples("braid", map_.name, samples, seed, tol, trial, trials)
+    return verify_samples("braid", map_.name, samples, seed, tol, _trials(map_, 3, residual))
 
 
 def act(map_: TwistedMap, word, points):

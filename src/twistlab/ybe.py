@@ -24,13 +24,15 @@ largest singular value.
 Operators also come in stacks along leading axes: `place` and
 `_specnorm` act on each matrix of a stack, and the built-in R- and
 L-operators have an evaluator over stacks of parameters beside the one
-for a single point.  Over a closed-form map, which has a body over
-stacks of pairs, the inverse, Yang-Baxter, L and Q verifiers therefore
-draw, map and measure a block of trials per numpy call, and accept the
-same samples as one trial at a time (see `transpositions`); the
-Yang-Baxter block runs the same word loop on stacks of triples.  Other
-maps and operators (user operators, the composed GF R-matrix,
-`compose_L`) run one trial at a time.
+for a single point.  The inverse, Yang-Baxter, L and Q verifiers each
+write their identity once, as a residual over stacks of trials (see
+`transpositions`); the Yang-Baxter residual runs the word loop of
+`scattering` on stacks of triples.  Over a closed-form map with
+built-in operators a block holds many trials, drawn, mapped and
+measured per numpy call.  Other maps and operators (user operators,
+the composed GF R-matrix, `compose_L`) run blocks of one trial, whose
+operators `RMatrix.stack` and `LOperator.stack` evaluate point by
+point.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .transpositions import (
     TwistedMap,
     VectorDomain,
     _distances,
-    _stacked,
+    _trials,
     adjacent_word,
     verify_samples,
 )
@@ -134,11 +136,6 @@ def _relative_gap(lhs, rhs):
     return _specnorm(lhs - rhs) / np.maximum(np.maximum(1.0, _specnorm(lhs)), _specnorm(rhs))
 
 
-def _over_stacks(map_: TwistedMap, *ops) -> bool:
-    """Whether the map and every operator evaluate stacks."""
-    return map_._stack is not None and all(op._stack is not None for op in ops)
-
-
 # ---------------------------------------------------------------------------
 # R-matrices
 
@@ -157,6 +154,13 @@ class RMatrix:
 
     def __call__(self, u, v) -> np.ndarray:
         return self.evaluator(u, v)
+
+    def stack(self, us, vs) -> np.ndarray:
+        """R over stacks of pairs: _stack over arrays, the evaluator pair
+        by pair over lists."""
+        if isinstance(us, list):
+            return np.array([self.evaluator(u, v) for u, v in zip(us, vs)])
+        return self._stack(us, vs)
 
 
 def builtin_R(name: str, map_: TwistedMap, n: int = 2) -> RMatrix:
@@ -178,23 +182,17 @@ def verify_inverse(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1
     map_ = r.twisted_map
     eye = _identity(r.n * r.n)
 
-    def trial(rng):
-        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
-        p, q = map_.apply(u, v)
-        return _specnorm(r(p, q) @ r(u, v) - eye)
-
     def residual(stack, pts):
         u, v = pts
         p, q, generic = stack(u, v)
-        return _specnorm(r._stack(p, q) @ r._stack(u, v) - eye), generic
+        return _specnorm(r.stack(p, q) @ r.stack(u, v) - eye), generic
 
-    trials = _stacked(map_, 2, residual, r.n**4) if _over_stacks(map_, r) else None
-    return verify_samples("inverse", r.name, samples, seed, tol, trial, trials)
+    return verify_samples("inverse", r.name, samples, seed, tol, _trials(map_, 2, residual, r.n**4, (r,)))
 
 
 def _scatter(evaluate, step, n: int, word, params):
-    """The word loop of `scattering` and of the stacked Yang-Baxter
-    residual, over one tuple of points or over stacks of tuples.
+    """The word loop of `scattering` and of the Yang-Baxter residual,
+    over one tuple of points or over stacks of tuples.
 
     Each letter i left-multiplies by evaluate(u, v) placed on legs
     (i, i+1), then advances the pair by step(u, v) -> (phi, psi,
@@ -235,23 +233,14 @@ def verify_tybe(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9
     """Twisted Yang-Baxter relation: the words (1,2,1) and (2,1,2) must
     accumulate the same operator and the same final parameters."""
     map_ = r.twisted_map
-    dom = map_.domain
-
-    def trial(rng):
-        pts = tuple(dom.sample(rng) for _ in range(3))
-        left_op, left_pts = scattering(r, (1, 2, 1), pts)
-        right_op, right_pts = scattering(r, (2, 1, 2), pts)
-        resid = _specnorm(left_op - right_op)
-        return max(resid, max(dom.distance(a, b) for a, b in zip(left_pts, right_pts)))
 
     def residual(stack, pts):
-        left_op, left_pts, gl = _scatter(r._stack, stack, r.n, (1, 2, 1), pts)
-        right_op, right_pts, gr = _scatter(r._stack, stack, r.n, (2, 1, 2), pts)
-        dist = np.max([_distances(a, b) for a, b in zip(left_pts, right_pts)], axis=0)
+        left_op, left_pts, gl = _scatter(r.stack, stack, r.n, (1, 2, 1), pts)
+        right_op, right_pts, gr = _scatter(r.stack, stack, r.n, (2, 1, 2), pts)
+        dist = np.max([_distances(map_.domain, a, b) for a, b in zip(left_pts, right_pts)], axis=0)
         return np.maximum(_specnorm(left_op - right_op), dist), gl & gr
 
-    trials = _stacked(map_, 3, residual, r.n**6) if _over_stacks(map_, r) else None
-    return verify_samples("tybe", r.name, samples, seed, tol, trial, trials)
+    return verify_samples("tybe", r.name, samples, seed, tol, _trials(map_, 3, residual, r.n**6, (r,)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +260,13 @@ class LOperator:
 
     def __call__(self, u) -> np.ndarray:
         return np.asarray(self.evaluator(u), dtype=np.complex128)
+
+    def stack(self, us) -> np.ndarray:
+        """L over a stack of parameters: _stack over an array, the
+        evaluator point by point over a list."""
+        if isinstance(us, list):
+            return np.array([self(u) for u in us])
+        return self._stack(us)
 
 
 def builtin_L(name: str, n: int = 2, w: int = 1) -> LOperator:
@@ -315,26 +311,20 @@ def verify_L(l_op: LOperator, r: RMatrix, samples: int = 100, seed: int = 0, tol
     if l_op.n != r.n:
         raise SizeMismatch("L and R auxiliary dimensions differ")
     map_ = r.twisted_map
+    if map_.domain.kind != "scalar":
+        raise SizeMismatch(f"{map_.name}: L operators take scalar parameters, not {map_.domain.kind} points")
     dims = [r.n, r.n, l_op.w]
-
-    def gap(u, v, p, q, r_ev, l_ev):
-        rmat = place(r_ev(u, v), (0, 1), dims)
-        lhs = rmat @ place(l_ev(u), (0, 2), dims) @ place(l_ev(v), (1, 2), dims)
-        rhs = place(l_ev(p), (0, 2), dims) @ place(l_ev(q), (1, 2), dims) @ rmat
-        return _relative_gap(lhs, rhs)
-
-    def trial(rng):
-        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
-        return gap(u, v, *map_.apply(u, v), r, l_op)
 
     def residual(stack, pts):
         u, v = pts
         p, q, generic = stack(u, v)
-        return gap(u, v, p, q, r._stack, l_op._stack), generic
+        rmat = place(r.stack(u, v), (0, 1), dims)
+        lhs = rmat @ place(l_op.stack(u), (0, 2), dims) @ place(l_op.stack(v), (1, 2), dims)
+        rhs = place(l_op.stack(p), (0, 2), dims) @ place(l_op.stack(q), (1, 2), dims) @ rmat
+        return _relative_gap(lhs, rhs), generic
 
-    scalar = map_.domain.kind == "scalar"
-    trials = _stacked(map_, 2, residual, (r.n * r.n * l_op.w) ** 2) if scalar and _over_stacks(map_, r, l_op) else None
-    return verify_samples("l_operator", r.name, samples, seed, tol, trial, trials)
+    trials = _trials(map_, 2, residual, (r.n * r.n * l_op.w) ** 2, (r, l_op))
+    return verify_samples("l_operator", r.name, samples, seed, tol, trials)
 
 
 def compose_L(l_a: LOperator, l_b: LOperator) -> LOperator:
@@ -364,24 +354,17 @@ def q_of(l_op: LOperator, u) -> np.ndarray:
 
 def q_check(l_op: LOperator, map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Trace relation Q(u) Q(v) = Q(phi(u,v)) Q(psi(u,v)) on W."""
+    if map_.domain.kind != "scalar":
+        raise SizeMismatch(f"{map_.name}: Q operators take scalar parameters, not {map_.domain.kind} points")
     n, w = l_op.n, l_op.w
-
-    def gap(u, v, p, q, l_ev):
-        qu, qv, qp, qq = (_trace_v(l_ev(x), n, w) for x in (u, v, p, q))
-        return _relative_gap(qu @ qv, qp @ qq)
-
-    def trial(rng):
-        u, v = map_.domain.sample(rng), map_.domain.sample(rng)
-        return gap(u, v, *map_.apply(u, v), l_op)
 
     def residual(stack, pts):
         u, v = pts
         p, q, generic = stack(u, v)
-        return gap(u, v, p, q, l_op._stack), generic
+        qu, qv, qp, qq = (_trace_v(l_op.stack(x), n, w) for x in (u, v, p, q))
+        return _relative_gap(qu @ qv, qp @ qq), generic
 
-    scalar = map_.domain.kind == "scalar"
-    trials = _stacked(map_, 2, residual, (n * w) ** 2) if scalar and _over_stacks(map_, l_op) else None
-    return verify_samples("q_operator", map_.name, samples, seed, tol, trial, trials)
+    return verify_samples("q_operator", map_.name, samples, seed, tol, _trials(map_, 2, residual, (n * w) ** 2, (l_op,)))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,24 @@ def test_non_finite_input_exit_2(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-l", "--map", "matrix_rational", "--m", "2", "--l", "diag_u"],
+        ["verify-l", "--map", "matrix_rational", "--m", "2", "--l", "power"],
+        ["q-check", "--map", "matrix_rational", "--m", "2", "--l", "diag_u"],
+        ["verify-l", "--map", "theta_mu", "--m", "1", "--samples", "2"],
+        ["q-check", "--map", "theta_mu", "--m", "1", "--samples", "2"],
+    ],
+    ids=["verify-l-matrix-diag_u", "verify-l-matrix-power", "q-check-matrix", "verify-l-theta", "q-check-theta"],
+)
+def test_l_and_q_checks_on_non_scalar_maps_exit_2(argv):
+    code, rep, err = invoke(argv)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["error"]["type"] == "SizeMismatch" and "scalar parameters" in rep["error"]["message"]
+    assert "Traceback" not in err
+
+
 def _theta_json(c, coeffs):
     return {"tau": [0, 1], "m": 1, "n": 1, "c": [c.real, c.imag], "coeffs": [[x.real, x.imag] for x in coeffs]}
 

@@ -1,10 +1,12 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from twistlab import transpositions
+from sampling_reference import reference_samples, same_samples
+from twistlab import cli, transpositions
 from twistlab.errors import NonGeneric, UnknownMap
 from twistlab.matpoly import pair_map
 from twistlab.mtheta import theta_map
@@ -243,24 +245,6 @@ def test_stacked_draws_equal_successive_single_draws(kind, seed):
     assert np.asarray(dom.sample(stacked)).tobytes() == np.asarray(dom.sample(single)).tobytes()
 
 
-def _reference_samples(check, map_, samples, seed, tol, trial):
-    """The per-sample loop the stacked verifiers replace: each sample is
-    redrawn up to MAX_REDRAW times while its trial raises NonGeneric."""
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport(check, map_.name, samples, seed, tol)
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            try:
-                residual = trial(rng)
-                break
-            except NonGeneric:
-                rep.redraws += 1
-        else:
-            raise NonGeneric(f"{map_.name}: {check}: no generic sample after {MAX_REDRAW} draws")
-        rep.record(k, residual)
-    return rep
-
-
 def reference_involution(map_, samples, seed, tol=1e-9):
     dom = map_.domain
 
@@ -269,7 +253,7 @@ def reference_involution(map_, samples, seed, tol=1e-9):
         u2, v2 = map_.apply(*map_.apply(u, v))
         return max(dom.distance(u2, u), dom.distance(v2, v))
 
-    return _reference_samples("involution", map_, samples, seed, tol, trial)
+    return reference_samples("involution", map_.name, samples, seed, tol, trial)
 
 
 def reference_braid(map_, samples, seed, tol=1e-8):
@@ -280,16 +264,7 @@ def reference_braid(map_, samples, seed, tol=1e-8):
         left, right = act(map_, (1, 2, 1), pts), act(map_, (2, 1, 2), pts)
         return max(dom.distance(x, y) for x, y in zip(left, right))
 
-    return _reference_samples("braid", map_, samples, seed, tol, trial)
-
-
-def _same_samples(rep, ref):
-    for key in ("check", "subject", "samples", "seed", "tol"):
-        assert getattr(rep, key) == getattr(ref, key)
-    assert [i for i, _ in rep.failures] == [i for i, _ in ref.failures]
-    assert rep.passed == ref.passed
-    assert rep.redraws == ref.redraws
-    assert abs(rep.max_residual - ref.max_residual) <= 1e-14
+    return reference_samples("braid", map_.name, samples, seed, tol, trial)
 
 
 # (map, MAP_GATE or None for the default, involution samples, braid samples);
@@ -317,7 +292,7 @@ def test_stacked_verifiers_match_the_per_sample_reference(monkeypatch, case):
     for seed in range(50):
         for verify, reference, n in ((verify_involution, reference_involution, n_inv), (verify_braid, reference_braid, n_braid)):
             rep = verify(map_, samples=n, seed=seed)
-            _same_samples(rep, reference(map_, n, seed))
+            same_samples(rep, reference(map_, n, seed))
             redraws += rep.redraws
     assert (redraws > 0) == (gate is not None)
 
@@ -480,6 +455,29 @@ def test_record_counts_non_finite_residuals_as_failures():
     rep.record(0, 1e-12)
     rep.record(1, math.nan)
     assert not rep.passed and rep.failures == [(1, rep.failures[0][1])]
-    assert rep.max_residual == 1e-12 and rep.argmax_sample == 0
+    assert rep.max_residual == math.inf and rep.argmax_sample == 1
     rep.record(2, math.inf)
-    assert rep.max_residual == math.inf and [i for i, _ in rep.failures] == [1, 2]
+    assert rep.max_residual == math.inf and rep.argmax_sample == 1
+    assert [i for i, _ in rep.failures] == [1, 2]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["per_sample", "stacked"])
+def test_a_nan_residual_shows_as_an_infinite_maximum_and_null_in_json(stacked):
+    rep = verify_involution(_nan_swap(stacked), samples=3)
+    assert rep.max_residual == math.inf and rep.argmax_sample == 0
+    out = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+    assert out["status"] == "fail" and out["max_residual"] is None and out["argmax_sample"] == 0
+    assert out["failures"] == [{"sample": i, "residual": None} for i in range(3)]
+    body = json.loads(json.dumps(cli.report_body(reports=[rep]), allow_nan=False))
+    assert body["status"] == "fail" and body["max_residual"] is None
+    assert [f["residual"] for f in body["failures"]] == [None] * 3
+
+
+def test_breakdown_counts_a_non_finite_residual_as_infinite():
+    rep = VerificationReport("c", "s", 2, 0, 1e-9)
+    rep.record(0, 1e-12, "a")
+    rep.record(1, math.nan, "a")
+    rep.record(1, 1e-13, "b")
+    assert rep.breakdown == {"a": math.inf, "b": 1e-13}
+    out = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+    assert out["breakdown"] == {"a": None, "b": 1e-13} and out["max_residual"] is None

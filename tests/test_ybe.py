@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from sampling_reference import reference_samples, same_samples
 from twistlab import transpositions, ybe
 from twistlab.errors import NonGeneric, SizeMismatch, UnknownR
 from twistlab.matpoly import pair_map
 from twistlab.mtheta import theta_map
-from twistlab.report import VerificationReport
 from twistlab.transpositions import MAX_REDRAW, adjacent_word, builtin_map, act, verify_braid, verify_involution
 from twistlab.ybe import (
     LOperator,
@@ -364,24 +364,6 @@ def test_block_swap_word_length():
 # --- stacked verifiers against the per-sample reference ----------------------
 
 
-def _reference_samples(check, subject, samples, seed, tol, trial):
-    """The per-sample loop: each sample is redrawn up to MAX_REDRAW times
-    while its trial raises NonGeneric."""
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport(check, subject, samples, seed, tol)
-    for k in range(samples):
-        for _ in range(MAX_REDRAW):
-            try:
-                residual = trial(rng)
-                break
-            except NonGeneric:
-                rep.redraws += 1
-        else:
-            raise NonGeneric(f"{subject}: {check}: no generic sample after {MAX_REDRAW} draws")
-        rep.record(k, residual)
-    return rep
-
-
 def reference_inverse(r, samples, seed, tol=1e-9):
     map_, eye = r.twisted_map, np.eye(r.n * r.n)
 
@@ -390,7 +372,7 @@ def reference_inverse(r, samples, seed, tol=1e-9):
         p, q = map_.apply(u, v)
         return _specnorm(r(p, q) @ r(u, v) - eye)
 
-    return _reference_samples("inverse", r.name, samples, seed, tol, trial)
+    return reference_samples("inverse", r.name, samples, seed, tol, trial)
 
 
 def _reference_scattering(r, word, pts):
@@ -413,7 +395,7 @@ def reference_tybe(r, samples, seed, tol=1e-9):
         resid = _specnorm(left_op - right_op)
         return max(resid, max(dom.distance(a, b) for a, b in zip(left_pts, right_pts)))
 
-    return _reference_samples("tybe", r.name, samples, seed, tol, trial)
+    return reference_samples("tybe", r.name, samples, seed, tol, trial)
 
 
 def reference_L(l_op, r, samples, seed, tol=1e-9):
@@ -428,7 +410,7 @@ def reference_L(l_op, r, samples, seed, tol=1e-9):
         rhs = place(l_op(p), (0, 2), dims) @ place(l_op(q), (1, 2), dims) @ rmat
         return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
 
-    return _reference_samples("l_operator", r.name, samples, seed, tol, trial)
+    return reference_samples("l_operator", r.name, samples, seed, tol, trial)
 
 
 def reference_q(l_op, map_, samples, seed, tol=1e-9):
@@ -441,14 +423,7 @@ def reference_q(l_op, map_, samples, seed, tol=1e-9):
         lhs, rhs = q(u) @ q(v), q(p) @ q(q_)
         return _specnorm(lhs - rhs) / max(1.0, _specnorm(lhs), _specnorm(rhs))
 
-    return _reference_samples("q_operator", map_.name, samples, seed, tol, trial)
-
-
-def _same_samples(rep, ref):
-    for key in ("check", "subject", "samples", "seed", "tol", "redraws", "passed"):
-        assert getattr(rep, key) == getattr(ref, key), key
-    assert [i for i, _ in rep.failures] == [i for i, _ in ref.failures]
-    assert abs(rep.max_residual - ref.max_residual) <= 1e-14
+    return reference_samples("q_operator", map_.name, samples, seed, tol, trial)
 
 
 # (map, MAP_GATE or None for the default); the raised gates reject a share
@@ -478,7 +453,7 @@ def test_stacked_r_verifiers_match_the_per_sample_reference(monkeypatch, case):
         for r in rs:
             for verify, reference, n in ((verify_inverse, reference_inverse, 20), (verify_tybe, reference_tybe, 6)):
                 rep = verify(r, samples=n, seed=seed)
-                _same_samples(rep, reference(r, n, seed))
+                same_samples(rep, reference(r, n, seed))
                 redraws += rep.redraws
     assert (redraws > 0) == (gate is not None)
 
@@ -496,9 +471,9 @@ def test_stacked_l_and_q_match_the_per_sample_reference(monkeypatch, case):
         for l_op in fixtures:
             for r in rs:
                 reports.append(verify_L(l_op, r, samples=8, seed=seed))
-                _same_samples(reports[-1], reference_L(l_op, r, 8, seed))
+                same_samples(reports[-1], reference_L(l_op, r, 8, seed))
             reports.append(q_check(l_op, map_, samples=16, seed=seed))
-            _same_samples(reports[-1], reference_q(l_op, map_, 16, seed))
+            same_samples(reports[-1], reference_q(l_op, map_, 16, seed))
     # some fixtures fail, so failure indices are compared as well
     assert any(rep.passed for rep in reports) and not all(rep.passed for rep in reports)
     assert any(rep.redraws for rep in reports) == (gate is not None)
@@ -530,6 +505,38 @@ def test_non_stacked_subjects_report_bitwise_as_the_reference():
     r = builtin_R("relabel_swap", theta_map(1), 2)
     assert verify_inverse(r, samples=2, seed=1).to_dict() == reference_inverse(r, 2, 1).to_dict()
     assert verify_tybe(r, samples=1, seed=1).to_dict() == reference_tybe(r, 1, 1).to_dict()
+
+
+def test_a_non_generic_user_r_passes_its_trial_over():
+    """A user R that raises NonGeneric where |u| < 0.4 runs in blocks of
+    one: the trial is redrawn, as in the per-sample loop."""
+    rng = np.random.default_rng(8)
+    const = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+    def ev(u, v):
+        if abs(u) < 0.4:
+            raise NonGeneric("user R: outside its domain")
+        return const
+
+    user_r = RMatrix("picky", 2, SCALAR, ev)
+    redraws = 0
+    for seed in range(4):
+        for verify, reference, n in ((verify_inverse, reference_inverse, 6), (verify_tybe, reference_tybe, 3)):
+            rep = verify(user_r, samples=n, seed=seed)
+            assert rep.to_dict() == reference(user_r, n, seed).to_dict()
+            redraws += rep.redraws
+    assert redraws > 0
+
+
+@pytest.mark.parametrize("map_", [builtin_map("matrix_rational", m=2), theta_map(1)], ids=["matrix", "theta"])
+def test_l_and_q_checks_reject_maps_without_scalar_parameters(map_):
+    r_id = builtin_R("relabel_id", map_, 2)
+    for name in ("diag_u", "power"):
+        l_op = builtin_L(name, 2, 1)
+        with pytest.raises(SizeMismatch, match="scalar parameters"):
+            verify_L(l_op, r_id, samples=3)
+        with pytest.raises(SizeMismatch, match="scalar parameters"):
+            q_check(l_op, map_, samples=3)
 
 
 def test_stacked_place_and_specnorm_equal_each_matrix():
