@@ -505,8 +505,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.samples < 1 or args.tol <= 0:
-        print("samples must be >= 1 and tol > 0", file=sys.stderr)
+    if args.samples < 1 or not 0 < args.tol < math.inf:
+        print("samples must be >= 1 and tol finite and > 0", file=sys.stderr)
         return 2
     base = {
         "schema": SCHEMA,

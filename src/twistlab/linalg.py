@@ -2,12 +2,12 @@
 
 Small deterministic building blocks shared by every higher layer:
 ordered eigendecompositions, nullity-one kernel vectors, Sylvester
-solves by explicit vectorization, and companion-matrix polynomial
-roots.  Matrices are plain complex128 numpy arrays; tolerances are read
-relative to the scale of the input, with genericity gates defaulting to
-GENERICITY_TOL.  `nullspace_vector` also takes a stack (..., m, m) and
-returns one kernel vector per matrix, (..., m), from one batched SVD,
-with the same gate on every matrix.
+solves in the eigenvector coordinates of the two coefficients, and
+companion-matrix polynomial roots.  Matrices are plain complex128 numpy
+arrays; tolerances are read relative to the scale of the input, with
+genericity gates defaulting to GENERICITY_TOL.  `nullspace_vector` also
+takes a stack (..., m, m) and returns one kernel vector per matrix,
+(..., m), from one batched SVD, with the same gate on every matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
 )
 
 GENERICITY_TOL = 1e-7
+EIGVEC_COND = 1e3  # eigenvector-matrix condition of a nearly defective matrix
 
 
 def as_square_matrix(a, stack: bool = False) -> np.ndarray:
@@ -32,9 +33,14 @@ def as_square_matrix(a, stack: bool = False) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def frobenius(a) -> float:
+    """Frobenius norm of an array, from one BLAS dot product."""
+    return float(np.sqrt(np.vdot(a, a).real))
 
 
 def matrix_scale(a) -> float:
@@ -78,14 +84,8 @@ def min_pair_gap(values) -> float:
     if values.size < 2:
         return np.inf
     d = np.abs(values[:, None] - values[None, :])
-    d[np.diag_indices_from(d)] = np.inf
+    np.fill_diagonal(d, np.inf)
     return float(d.min())
-
-
-def min_cross_gap(a_values, b_values) -> float:
-    a = np.asarray(a_values).ravel()
-    b = np.asarray(b_values).ravel()
-    return float(np.abs(a[:, None] - b[None, :]).min())
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -147,10 +147,12 @@ def nullspace_vector(a, tol: float = 1e-8, scale: float | None = None) -> np.nda
 
 
 def solve_sylvester(a, b, c, tol: float = GENERICITY_TOL) -> np.ndarray:
-    """Solve a X - X b = c by vectorizing to an m^2 x m^2 linear system.
+    """Solve a X - X b = c as X = V_a [(V_a^-1 c V_b) / (d_a,i - d_b,j)] V_b^-1
+    from one eig each of a and b.
 
-    Requires the spectra of a and b to be disjoint at tolerance, which
-    is exactly the invertibility condition of the vectorized operator.
+    Raises SpectraOverlap when the spectra come within tol * scale, or
+    when an eigenvector matrix has Frobenius condition above EIGVEC_COND
+    (nearly defective: these coordinates lose the certificate's digits).
     """
     a = as_square_matrix(a)
     b = as_square_matrix(b)
@@ -158,21 +160,23 @@ def solve_sylvester(a, b, c, tol: float = GENERICITY_TOL) -> np.ndarray:
     m = a.shape[0]
     if b.shape[0] != m or c.shape[0] != m:
         raise ValueError("solve_sylvester needs three matrices of identical size")
-    wa = np.linalg.eigvals(a)
-    wb = np.linalg.eigvals(b)
-    scale = max(1.0, float(np.max(np.abs(wa))), float(np.max(np.abs(wb))))
-    if min_cross_gap(wa, wb) < tol * scale:
-        raise SpectraOverlap(
-            f"spectra of the coefficients come within {min_cross_gap(wa, wb):.2e}; system singular"
-        )
-    k = np.kron(a, np.eye(m)) - np.kron(np.eye(m), b.T)
+    w, v = np.linalg.eig(np.stack((a, b)))
+    gaps = w[0][:, None] - w[1][None, :]
+    scale = max(1.0, float(np.abs(w).max()))
+    if np.abs(gaps).min() < tol * scale:
+        raise SpectraOverlap(f"spectra of the coefficients come within {np.abs(gaps).min():.2e}; system singular")
     try:
-        x = np.linalg.solve(k, c.reshape(-1)).reshape(m, m)
+        v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
-        raise SpectraOverlap("vectorized Sylvester system is singular") from exc
-    resid = float(np.linalg.norm(a @ x - x @ b - c))
-    bound = 1e-10 * (np.linalg.norm(a) + np.linalg.norm(b)) * max(np.linalg.norm(x), 1e-30)
-    if resid > max(bound, 1e-14 * np.linalg.norm(c)):
+        raise SpectraOverlap("a coefficient is defective") from exc
+    # eig returns unit columns, so |V|_F = sqrt(m)
+    cond = np.sqrt(m) * max(frobenius(v_inv[0]), frobenius(v_inv[1]))
+    if not cond <= EIGVEC_COND:
+        raise SpectraOverlap(f"eigenvector condition {cond:.2e} above {EIGVEC_COND:.0e}; nearly defective")
+    x = v[0] @ ((v_inv[0] @ c @ v[1]) / gaps) @ v_inv[1]
+    resid = frobenius(a @ x - x @ b - c)
+    bound = 1e-10 * (frobenius(a) + frobenius(b)) * max(frobenius(x), 1e-30)
+    if resid > max(bound, 1e-14 * frobenius(c)):
         raise ResidualTooLarge(f"Sylvester residual {resid:.2e} above its certificate")
     return x
 

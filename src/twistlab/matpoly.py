@@ -37,9 +37,8 @@ from .linalg import (
     GENERICITY_TOL,
     as_square_matrix,
     eigen,
-    min_cross_gap,
+    frobenius,
     min_pair_gap,
-    nullspace_vector,
     solve_sylvester,
     sort_canonical,
 )
@@ -138,87 +137,86 @@ def multiply(factors) -> MatrixPolynomial:
     return MatrixPolynomial(m, coeffs)
 
 
-def spectrum(poly: MatrixPolynomial, tol: float = GENERICITY_TOL) -> np.ndarray:
-    """The md roots of det p(t) in canonical order; rejects clustered roots.
-
-    They are the eigenvalues of the md x md block companion matrix C,
-    whose first block row is (-P_1, ..., -P_d) and whose block
-    subdiagonal holds identities, since det(t - C) = det p(t).
-    """
+def _companion(poly: MatrixPolynomial) -> np.ndarray:
+    """The block companion matrix, with det(t - C) = det p(t): first block
+    column (-P_1; ...; -P_d), identities on the block superdiagonal.  Its
+    eigenvector at a root lam has first block v with p(lam) v = 0."""
     m, d = poly.m, poly.degree
     comp = np.zeros((m * d, m * d), dtype=np.complex128)
-    comp[:m] = -np.hstack(poly.standard_coeffs()[1:])
-    comp[m:, :-m] = np.eye(m * (d - 1))
-    roots = sort_canonical(np.linalg.eigvals(comp))
+    comp[:, :m] = -np.vstack(poly.standard_coeffs()[1:])
+    comp[:-m, m:] = np.eye(m * (d - 1))
+    return comp
+
+
+def _check_roots(roots: np.ndarray, tol: float) -> None:
     scale = max(1.0, float(np.max(np.abs(roots))))
     if min_pair_gap(roots) < tol * scale:
         raise NonGeneric(f"determinant roots cluster below {tol:.0e} * scale")
+
+
+def spectrum(poly: MatrixPolynomial, tol: float = GENERICITY_TOL) -> np.ndarray:
+    """The md roots of det p(t) in canonical order; rejects clustered roots.
+
+    They are the eigenvalues of the block companion matrix.
+    """
+    roots = sort_canonical(np.linalg.eigvals(_companion(poly)))
+    _check_roots(roots, tol)
     return roots
+
+
+PAIR_GAP = 1e-4  # spectral gap of a generic pair, relative to its scale
 
 
 def transpose_pair(a1, a2, tol: float = 1e-8):
     """Exchange transposition (a_1, a_2) -> (b_1, b_2) with swapped
     spectra and the same sum and product.
 
-    Solves a_2 L - L a_1 = 1 and returns (a_1 + L^{-1}, a_2 - L^{-1});
-    the contract identities are asserted before returning.
+    Solves a_2 L - L a_1 = 1, gated by solve_sylvester at PAIR_GAP, and
+    returns (a_1 + L^{-1}, a_2 - L^{-1}) = (L^{-1} a_2 L, L a_1 L^{-1}),
+    certified by the sum, the product and the similarity residuals.
     """
     a1 = as_square_matrix(a1)
     a2 = as_square_matrix(a2)
     if a1.shape != a2.shape:
         raise SizeMismatch("pair must share one size")
-    lam = solve_sylvester(a2, a1, np.eye(a1.shape[0]))
-    s = np.linalg.svd(lam, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
+    lam = solve_sylvester(a2, a1, np.eye(a1.shape[0]), tol=PAIR_GAP)
+    try:
+        lam_inv = np.linalg.inv(lam)
+    except np.linalg.LinAlgError as exc:
+        raise SingularLambda("Sylvester solution is singular") from exc
+    lam_norm = frobenius(lam)
+    if lam_norm * frobenius(lam_inv) >= 1e10:
         raise SingularLambda("Sylvester solution is numerically singular")
-    lam_inv = np.linalg.inv(lam)
     b1 = a1 + lam_inv
     b2 = a2 - lam_inv
-    scale = max(1.0, np.linalg.norm(a1), np.linalg.norm(a2), np.linalg.norm(lam_inv))
-    if np.linalg.norm((b1 + b2) - (a1 + a2)) > tol * scale:
+    scale = max(1.0, frobenius(a1), frobenius(a2), frobenius(lam_inv))
+    if frobenius((b1 + b2) - (a1 + a2)) > tol * scale:
         raise ResidualTooLarge("sum not preserved by the pair exchange")
-    if np.linalg.norm(b1 @ b2 - a1 @ a2) > tol * scale * scale:
+    if frobenius(b1 @ b2 - a1 @ a2) > tol * scale * scale:
         raise ResidualTooLarge("product not preserved by the pair exchange")
-    w1 = np.sort_complex(np.linalg.eigvals(a1))
-    w2 = np.sort_complex(np.linalg.eigvals(a2))
-    v1 = np.sort_complex(np.linalg.eigvals(b1))
-    v2 = np.sort_complex(np.linalg.eigvals(b2))
-    if np.max(np.abs(v1 - w2)) > tol * scale or np.max(np.abs(v2 - w1)) > tol * scale:
+    if max(frobenius(lam @ b1 - a2 @ lam), frobenius(b2 @ lam - lam @ a1)) > tol * scale * lam_norm:
         raise ResidualTooLarge("spectra were not exchanged by the pair transposition")
     return b1, b2
 
 
 def pair_map(m: int = 2) -> TwistedMap:
-    """The pair exchange as a twisted transposition on m x m matrices."""
-    dom = MatrixDomain(m)
-
-    def gen(u, v):
-        wu = np.linalg.eigvals(u)
-        wv = np.linalg.eigvals(v)
-        scale = max(1.0, float(np.max(np.abs(wu))), float(np.max(np.abs(wv))))
-        return min_cross_gap(wu, wv) > 1e-4 * scale
-
-    def ap(u, v):
-        return transpose_pair(u, v)
-
-    return TwistedMap("matpoly_pair", dom, ap, gen)
+    """The pair exchange as a twisted transposition on m x m matrices,
+    gated by transpose_pair itself."""
+    return TwistedMap("matpoly_pair", MatrixDomain(m), transpose_pair)
 
 
-def _match_labels(labels, roots, tol: float) -> list[complex]:
-    """Nearest-neighbor match of prescribed labels onto computed roots."""
-    roots = list(roots)
-    used = [False] * len(roots)
-    matched: list[complex] = []
-    scale = max(1.0, max(abs(x) for x in labels))
-    for lab in labels:
-        best, best_d = -1, np.inf
-        for i, r in enumerate(roots):
-            if not used[i] and abs(r - lab) < best_d:
-                best, best_d = i, abs(r - lab)
-        if best < 0 or best_d > tol * scale:
+def _match_labels(labels, roots, tol: float) -> list[int]:
+    """Indices of the roots matched to prescribed labels: each label in
+    turn takes the nearest root not yet taken."""
+    dist = np.abs(np.asarray(labels)[:, None] - roots[None, :])
+    scale = max(1.0, float(np.abs(labels).max()))
+    matched: list[int] = []
+    for lab, row in zip(labels, dist):
+        best = int(row.argmin())
+        if row[best] > tol * scale:
             raise PartitionInvalid(f"label {lab} matches no determinant root within {tol:.0e} * scale")
-        used[best] = True
-        matched.append(roots[best])
+        matched.append(best)
+        dist[:, best] = np.inf
     return matched
 
 
@@ -234,9 +232,11 @@ def _divide_right(std: list[np.ndarray], b: np.ndarray):
 def factorize(poly: MatrixPolynomial, partition, tol: float = 1e-8) -> FactorTuple:
     """Unique factorization whose i-th factor carries the i-th block.
 
-    Peels the rightmost factor repeatedly: kernel vectors of p at each
-    block root give the eigenvectors of b_d, then a right Horner
-    division with an explicit remainder bound reduces the degree.
+    One eig of the block companion matrix gives the roots of det p and a
+    kernel vector of p at each.  Peeling right to left, a block's kernel
+    vectors are the eigenvectors of its factor b, a right Horner division
+    with a remainder bound removes (t - b), and the roots still to peel
+    carry their vectors through w = (lam - b) w, since p = q (t - b).
     """
     m, d = poly.m, poly.degree
     blocks = [list(block) for block in partition]
@@ -246,45 +246,31 @@ def factorize(poly: MatrixPolynomial, partition, tol: float = 1e-8) -> FactorTup
     scale_l = max(1.0, max(abs(x) for x in flat))
     if min_pair_gap(np.array(flat)) < GENERICITY_TOL * scale_l:
         raise PartitionInvalid("partition blocks are not disjoint at tolerance")
-    roots = spectrum(poly)
-    matched_blocks = [ _match_labels(b, roots, 1e-5) for b in blocks ]
-    used = np.concatenate([np.asarray(b) for b in matched_blocks])
-    if len(used) != len(roots):
-        raise PartitionInvalid("partition does not cover the determinant roots")
+    roots, vecs = np.linalg.eig(_companion(poly))
+    _check_roots(roots, GENERICITY_TOL)
+    order = _match_labels(flat, roots, 1e-5)
+    roots = roots[order]
+    vecs = vecs[:m, order]
 
     std = poly.standard_coeffs()
     pscale = poly.scale()
-    out: list[tuple[np.ndarray, tuple]] = []
+    out = [None] * d
     for idx in range(d - 1, 0, -1):
-        lam = matched_blocks[idx]
-        cols = []
-        for root in lam:
-            val = _value(std, root)
-            if m == 1:
-                cols.append(np.ones(1, dtype=np.complex128))
-            else:
-                cols.append(nullspace_vector(val, tol=1e-6))
-        vmat = np.column_stack(cols)
+        cols = slice(idx * m, (idx + 1) * m)
+        vmat = vecs[:, cols] / np.linalg.norm(vecs[:, cols], axis=0)
         sv = np.linalg.svd(vmat, compute_uv=False)
         # conditioning of the kernel basis bounds how many digits survive
         # the similarity; past 1e5 the 1e-7 accuracy contract is gone
         if sv[-1] < 1e-5 * sv[0]:
             raise NonGeneric("kernel vectors of one block are nearly dependent")
-        b = vmat @ np.diag(lam) @ np.linalg.inv(vmat)
+        b = (vmat * roots[cols]) @ np.linalg.inv(vmat) if m > 1 else roots[cols].reshape(1, 1)
+        vecs = vecs[:, : idx * m] * roots[: idx * m] - b @ vecs[:, : idx * m]
         std, rem = _divide_right(std, b)
         if np.linalg.norm(rem) > tol * pscale:
             raise ResidualTooLarge(f"division remainder {np.linalg.norm(rem):.2e} above tolerance")
-        out.append((b, tuple(blocks[idx])))
-    lam = matched_blocks[0]
-    if d == 1:
-        b1 = poly.coeffs[0]
-    else:
-        if len(std) != 2:
-            raise ResidualTooLarge("peeling did not reduce to a linear factor")
-        b1 = -std[1]
-    out.append((b1, tuple(blocks[0])))
-    out.reverse()
-    return FactorTuple(tuple(b for b, _ in out), tuple(s for _, s in out))
+        out[idx] = b
+    out[0] = -std[1]
+    return FactorTuple(tuple(out), tuple(tuple(b) for b in blocks))
 
 
 def act_ordered(sigma, ft: FactorTuple, tol: float = 1e-8) -> FactorTuple:

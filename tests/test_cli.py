@@ -287,6 +287,14 @@ def test_non_finite_input_exit_2(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tol_exit_2(tol):
+    code, out, err = run_text(["verify-map", f"--tol={tol}", "--samples", "2"])
+    assert code == 2
+    assert out == ""
+    assert "tol finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from matpoly_reference import kron_sylvester
 
 from twistlab.errors import DegreeZero, NonGeneric, RankUnexpected, SpectraOverlap
 from twistlab.linalg import (
@@ -124,6 +125,25 @@ def test_sylvester_overlap_rejected():
     d = np.diag([1.0, 2.0])
     with pytest.raises(SpectraOverlap):
         solve_sylvester(d, d, np.eye(2))
+
+
+def test_sylvester_rejects_a_nearly_defective_coefficient():
+    # eigenvalues 1e-6 apart: eigenvector condition about 2e6
+    a = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-6]])
+    with pytest.raises(SpectraOverlap, match="eigenvector condition"):
+        solve_sylvester(a, np.diag([5.0, 6.0]), np.eye(2))
+    with pytest.raises(SpectraOverlap, match="eigenvector condition"):
+        solve_sylvester(np.diag([5.0, 6.0]), a, np.eye(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sylvester_matches_the_kron_reference(m):
+    rng = np.random.default_rng(20 + m)
+    for _ in range(40):
+        a, b, c = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(3))
+        x = solve_sylvester(a, b, c)
+        ref = kron_sylvester(a, b, c)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_sylvester_residual_property():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from matpoly_reference import kron_exchange, peel_factorize
 
 from twistlab.errors import PartitionInvalid, SizeMismatch, SpectraOverlap
 from twistlab.linalg import min_pair_gap
@@ -10,10 +11,11 @@ from twistlab.matpoly import (
     factorize,
     matrix_polynomial,
     multiply,
+    pair_map,
     spectrum,
     transpose_pair,
 )
-from twistlab.transpositions import compose_permutations
+from twistlab.transpositions import compose_permutations, verify_braid
 
 A1_WORKED = np.array([[4.0, 1.0], [0.0, 6.0]], dtype=complex)
 A2_WORKED = np.array([[3.0, 1.0], [0.0, 8.0]], dtype=complex)
@@ -136,6 +138,57 @@ def test_transpose_pair_involution():
         scale = max(1.0, np.linalg.norm(a1), np.linalg.norm(a2))
         assert np.linalg.norm(c1 - a1) < 1e-9 * scale
         assert np.linalg.norm(c2 - a2) < 1e-9 * scale
+
+
+# One exchange in the braid samples of pair_map(2) at seed 486216482: both
+# matrices have eigenvector condition about 1.25e3, and the Kronecker
+# exchange returned for them is off from the 50-digit exchange by 9.4e-8
+NEARLY_DEFECTIVE = (
+    np.array(
+        [
+            [296.5684126324664 + 150.12510723708579j, 5.332786964002599 - 221.46656658006887j],
+            [395.32294976664184 - 303.54172646485256j, -295.9345889032246 - 150.86702990197296j],
+        ]
+    ),
+    np.array(
+        [
+            [-295.77844447665143 - 149.9982303232571j, -5.374304594247176 + 220.62336596372347j],
+            [-394.04577354245185 + 303.8932729492609j, 295.4024485642531 + 149.63566785072817j],
+        ]
+    ),
+)
+
+
+def test_transpose_pair_rejects_a_nearly_defective_pair():
+    with pytest.raises(SpectraOverlap, match="eigenvector condition"):
+        transpose_pair(*NEARLY_DEFECTIVE)
+
+
+def test_pair_map_braid_redraws_nearly_defective_pairs():
+    rep = verify_braid(pair_map(2), samples=3, seed=486216482, tol=1e-8)
+    assert rep.passed
+    assert rep.redraws >= 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_transpose_pair_matches_the_kron_exchange(m):
+    rng = np.random.default_rng(40 + m)
+    for _ in range(20):
+        a1, a2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
+        for got, want in zip(transpose_pair(a1, a2), kron_exchange(a1, a2)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_factorize_matches_the_per_root_peel(m):
+    for d in (1, 2, 3):
+        for seed in range(4):
+            mats, blocks = spread_factors(100 * m + 10 * d + seed, m, d)
+            poly = multiply(mats)
+            for partition in (blocks, blocks[::-1]):
+                got = factorize(poly, partition).factors
+                for x, y in zip(got, peel_factorize(poly, partition)):
+                    assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
 
 
 def test_factorize_round_trip_worked_pair():
