@@ -29,15 +29,16 @@ import numpy as np
 
 
 def theta_eval(coeffs, ks, zs):
-    """Evaluate D truncated Fourier series at the points zs.
+    """Evaluate D truncated Fourier series at the points zs, or a stack of
+    such batches that share their wavenumbers.
 
-    coeffs: (D, T) complex term coefficients
+    coeffs: (..., D, T) complex term coefficients
     ks:     (D, T) float wavenumbers; every row steps by the same amount
-    zs:     (P,) complex points
-    returns (D, P) with out[d, p] = sum_t coeffs[d, t] * exp(2 pi i ks[d, t] zs[p])
+    zs:     (..., P) complex points
+    returns (..., D, P) with out[..., d, p] = sum_t coeffs[..., d, t] * exp(2 pi i ks[d, t] zs[..., p])
     """
     mid = ks.shape[1] // 2
-    tz = 2j * np.pi * zs
+    tz = 2j * np.pi * zs[..., None, :]
     lead = np.exp(ks[:, mid, None] * tz)
     shared = np.exp((ks[0, :, None] - ks[0, mid]) * tz)
     return lead * (coeffs @ shared)

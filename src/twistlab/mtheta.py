@@ -46,10 +46,11 @@ from .errors import (
     ZeroCountMismatch,
 )
 from .linalg import nullspace_vector
-from .transpositions import PointDomain, TwistedMap, _act_on_blocks, redraw
+from .transpositions import MAX_REDRAW, PointDomain, TwistedMap, _act_on_blocks
 
 CELL_GATE = 1e-4
 _TAIL_CUT = 40.0
+_SINGLE_CS = 64  # single c values whose coefficient window a term table keeps
 
 
 def _probes(tau: complex) -> np.ndarray:
@@ -75,6 +76,10 @@ def clifford_pair(m: int):
 
 @dataclass(frozen=True)
 class LatticeParams:
+    """One matrix theta space, or with an array c, the stack of spaces of
+    one (m, n, tau) at those c values (which are then neither hashed nor
+    compared)."""
+
     tau: complex
     m: int
     n: int
@@ -82,10 +87,11 @@ class LatticeParams:
 
     def __post_init__(self):
         object.__setattr__(self, "tau", complex(self.tau))
-        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=np.complex128) if np.ndim(self.c) else complex(self.c))
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "n", int(self.n))
-        if not (cmath.isfinite(self.tau) and cmath.isfinite(self.c)):
+        im_c = abs(self.c.imag) if isinstance(self.c, complex) else np.abs(self.c.imag).max(initial=0.0)
+        if not (cmath.isfinite(self.tau) and np.isfinite(self.c).all()):
             raise InputInvalid("tau and c must be finite")
         if self.tau.imag < 0.3:
             raise InputInvalid("Im tau must be at least 0.3 for the series to converge fast")
@@ -93,8 +99,15 @@ class LatticeParams:
             raise InputInvalid("m outside the supported desk scale 1..4")
         if not 1 <= self.n <= 3:
             raise InputInvalid("n outside the supported desk scale 1..3")
-        if abs(self.c.imag) > 8.0:
+        if im_c > 8.0:
             raise InputInvalid("Im c outside the supported range |Im c| <= 8")
+
+    def at_c(self, c) -> "LatticeParams":
+        """These parameters at c values taken from checked ones (rows of a
+        stack), so not checked again."""
+        out = object.__new__(LatticeParams)
+        out.__dict__.update(tau=self.tau, m=self.m, n=self.n, c=c)
+        return out
 
     @property
     def L(self) -> int:
@@ -126,7 +139,7 @@ def _monomials(m: int, n: int) -> np.ndarray:
 
 
 class MThetaBasis:
-    """Closed-form basis of one matrix theta space.
+    """Closed-form basis of the matrix theta spaces of one (m, n, tau).
 
     Write f = sum_{a,b} f_ab(z) gamma_1^a gamma_2^b.  Conjugation by
     gamma_1 multiplies gamma_1^a gamma_2^b by eps^b and conjugation by
@@ -148,9 +161,20 @@ class MThetaBasis:
     (over real j) to modulus 1.  The dimension is m^2 n by construction,
     and coefficient vectors of elements mean the same on every machine.
 
+    c enters the coefficients alone, as the phase exp(-2 pi i j c) on
+    term j and the normalizing constant, both in log form (Mumford, Tata
+    Lectures on Theta I, ch. I 3: f(z + delta) lies in the space at
+    c - m n delta, so c is a translation, written here on the
+    coefficients so that points stay where they are).  So one term table
+    per (m, n, tau) serves every c, and `mtheta_basis` builds it once.  A
+    basis object is that table at params.c, which may be an array: then
+    every method runs over that stack of spaces, with one window of j for
+    all of them.  `at` gives the table at another c.
+
     Evaluation moves each point into the strip 0 <= Im z < Im tau / m
-    with the tau/m law.  There the series share one window of j that
-    keeps every term above exp(-40) of the largest.  The size of a
+    with the tau/m law, and applies that law's factor in log form where
+    it alone would overflow.  There the series share one window of j
+    that keeps every term above exp(-40) of the largest.  The size of a
     combination at a point of the strip is its largest single term
     (`envelope`), the one scale behind interpolation and `det_zeros`;
     building a basis evaluates nothing.
@@ -158,26 +182,74 @@ class MThetaBasis:
 
     def __init__(self, params: LatticeParams):
         p = params
-        m, n, t = p.m, p.n, p.tau.imag
-        self.params = p
-        self.dim = p.L
+        m, n = p.m, p.n
         a, b, s = (ix.ravel() for ix in np.indices((m, m, n)))
-        k0 = b / m + s
-        # |coefficient j| = exp(-2 pi (n t j^2 / 2 + slope j)), largest at
-        # j = -slope / (n t); a term of wavenumber k also carries
-        # exp(-2 pi k Im z), which moves that peak down by up to one
-        # across the strip
-        slope = k0 * t - p.c.imag - n * t / 2
-        half = np.sqrt(_TAIL_CUT / (np.pi * n * t))
-        peak = -slope / (n * t)
-        js = np.arange(int(np.floor(peak.min() - 1 - half)), int(np.ceil(peak.max() + half)) + 1)
-        expo = js * (k0[:, None] * p.tau - p.c + a[:, None] / m) + n * p.tau * js * (js - 1) / 2
-        # log |coefficient|, kept apart so that term sizes never overflow
-        self._log_coeffs = -2 * np.pi * expo.imag - np.pi * slope[:, None] ** 2 / (n * t)
-        self.coeffs = np.exp(2j * np.pi * expo.real + self._log_coeffs)
-        self.ks = (b + m * s)[:, None] + m * n * js.astype(np.float64)
+        self.dim = p.L
         self._a = a
+        self._k = b + m * s
+        self._k0 = b / m + s
+        self._half = np.sqrt(_TAIL_CUT / (np.pi * n * p.tau.imag))
         self._mono = _monomials(m, n)
+        self._k0tau = self._k0[:, None] * p.tau
+        self._a_m = self._a[:, None] / m
+        self._windows = {}  # (first j, last j) -> js, their quadratic term, wavenumbers
+        self._singles = {}  # single c -> this table at c
+        self._set_c(p)
+
+    def at(self, params: LatticeParams) -> "MThetaBasis":
+        """The table at the c of params (same m, n and tau).  It keeps its
+        coefficients at the last _SINGLE_CS single c values it served."""
+        single = not isinstance(params.c, np.ndarray)
+        if single and params.c in self._singles:
+            return self._singles[params.c]
+        if np.shape(params.c) == (1,):  # a stack of one: the table at its single c
+            return self.at(params.at_c(complex(params.c[0])))._rows(params, lambda x: x[None])
+        view = self._copy()
+        view._set_c(params)
+        if single:
+            if len(self._singles) >= _SINGLE_CS:
+                del self._singles[next(iter(self._singles))]
+            self._singles[params.c] = view
+        return view
+
+    def _rows(self, params: LatticeParams, index) -> "MThetaBasis":
+        """The basis of params, whose c are the rows index picks of this
+        stack's (index acts on arrays with two trailing axes)."""
+        view = self._copy()
+        view.params = params
+        view.coeffs, view._log_coeffs = index(self.coeffs), index(self._log_coeffs)
+        return view
+
+    def _copy(self) -> "MThetaBasis":
+        view = object.__new__(MThetaBasis)
+        view.__dict__.update(self.__dict__)
+        return view
+
+    def _set_c(self, params: LatticeParams) -> None:
+        p = params
+        m, n, t = p.m, p.n, p.tau.imag
+        c = np.asarray(p.c)[..., None]
+        # |coefficient j| = exp(-2 pi (n t j^2 / 2 + slope j)), largest at
+        # j = -slope / (n t) = (Im c / t + n / 2 - k0) / n; a term of
+        # wavenumber k also carries exp(-2 pi k Im z), which moves that
+        # peak down by up to one across the strip.  The window covers the
+        # peaks of every c in the bands b t <= Im c < (b + 1) t of the
+        # stack, so that a c gets the same terms alone as in any stack of
+        # its band
+        slope = self._k0 * t - c.imag - n * t / 2
+        band = np.floor(c.imag / t)
+        window = (int(np.floor((band.min() + n / 2 - self._k0.max()) / n - 1 - self._half)),
+                  int(np.ceil((band.max() + 1 + n / 2 - self._k0.min()) / n + self._half)))
+        if window not in self._windows:
+            js = np.arange(window[0], window[1] + 1)
+            ks = self._k[:, None] + m * n * js.astype(np.float64)
+            self._windows[window] = (js, n * p.tau * js * (js - 1) / 2, ks)
+        js, quad, self.ks = self._windows[window]
+        expo = js * (self._k0tau - c[..., None] + self._a_m) + quad
+        self.params = p
+        # log |coefficient|, kept apart so that term sizes never overflow
+        self._log_coeffs = -2 * np.pi * expo.imag - np.pi * slope[..., None] ** 2 / (n * t)
+        self.coeffs = np.exp(2j * np.pi * expo.real + self._log_coeffs)
 
     def slots(self):
         """Where each term sits: the monomial a m + b of its element,
@@ -189,39 +261,58 @@ class MThetaBasis:
         return self.ks.shape[1]
 
     def series(self, zs) -> np.ndarray:
-        """theta_abs at the points zs, one row per element: (dim, P)."""
+        """theta_abs at the points zs, one row per element: (..., dim, P).
+        A value beyond the double range raises InputInvalid."""
+        th = self._series(zs)
+        if np.count_nonzero(np.isfinite(th)) < th.size:
+            raise InputInvalid("theta values exceed the double range: points too far from the cell")
+        return th
+
+    def _series(self, zs) -> np.ndarray:
+        """`series` without the range check, not finite where a value is."""
         p = self.params
-        zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-        q = np.floor(zs.imag / p.omega2.imag)
-        w = zs - q * p.omega2
+        step = p.omega2
+        zs = np.asarray(zs, dtype=np.complex128)
+        if not zs.ndim:
+            zs = zs[None]
+        q = np.floor(zs.imag / step.imag)
+        w = zs - q * step
         th = theta_eval(self.coeffs, self.ks, w)
-        if not q.any():  # all points in the strip, as on Newton steps
+        if not np.count_nonzero(q):  # all points in the strip, as on Newton steps
             return th
         # q applications of the tau/m law from the strip back to zs
-        lift = np.outer(self._a / p.m, q) + q * (p.m * p.n * w - p.c + (q - 1) * (p.n * p.tau / 2))
-        return th * np.exp(-2j * np.pi * lift)
+        c = np.asarray(p.c)[..., None]
+        lift = self._a_m * q[..., None, :] + (q * (p.m * p.n * w - c + (q - 1) * (p.n * p.tau / 2)))[..., None, :]
+        # the law's factor has modulus exp(2 pi Im lift); where that alone
+        # would overflow, the product is taken in log form
+        if 2 * np.pi * lift.imag.max() < 700:
+            return th * np.exp(-2j * np.pi * lift)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.exp(np.log(th) - 2j * np.pi * lift)
 
     def eval_basis(self, zs) -> np.ndarray:
-        """Matrix values of every element: (dim, P, m, m)."""
+        """Matrix values of every element: (..., dim, P, m, m)."""
         th = self.series(zs)
         m = self.params.m
-        return (th[:, :, None] * self._mono[:, None, :]).reshape(self.dim, th.shape[1], m, m)
+        return (th[..., None] * self._mono[:, None, :]).reshape(th.shape + (m, m))
 
     def combine(self, x, th) -> np.ndarray:
-        """Matrix values of the combination x from th = series(zs): (P, m, m)."""
-        th = th * np.asarray(x, dtype=np.complex128)[:, None]
+        """Matrix values of the combination x, (..., dim), from
+        th = series(zs): (..., P, m, m)."""
+        th = th * np.asarray(x, dtype=np.complex128)[..., None]
         m = self.params.m
-        return (th.T @ self._mono).reshape(-1, m, m)
+        return (th.swapaxes(-1, -2) @ self._mono).reshape(th.shape[:-2] + (th.shape[-1], m, m))
 
     def eval(self, x, zs) -> np.ndarray:
-        """Matrix values of the combination with coefficients x: (P, m, m)."""
+        """Matrix values of the combination with coefficients x: (..., P, m, m)."""
         return self.combine(x, self.series(zs))
 
     def eval_grid(self, x, us, vs) -> np.ndarray:
         """Matrix values of the combination x at the points us[i] + vs[j],
         all in the strip 0 <= Im z < Im tau / m: (len(us) * len(vs), m, m),
-        row-major in (i, j).  The coordinates x scale the series
-        coefficients, so the kernel sums the combination's terms at once."""
+        row-major in (i, j), for a single space.  The coordinates x scale
+        the series coefficients, so the kernel sums the combination's
+        terms at once."""
         coeffs = self.coeffs * np.asarray(x, dtype=np.complex128)[:, None]
         th = theta_eval_grid(coeffs, self.ks, us, vs).reshape(self.dim, -1)
         m = self.params.m
@@ -237,23 +328,33 @@ class MThetaBasis:
         return self._envelope(x, self._log_terms(ws))
 
     def _log_terms(self, ws) -> np.ndarray:
-        """log of each element's largest term at the points ws: (dim, P)."""
-        return (self._log_coeffs[..., None] - self.ks[..., None] * (2 * np.pi * np.imag(ws))).max(axis=1)
+        """log of each element's largest term at the points ws: (..., dim, P)."""
+        height = 2 * np.pi * np.imag(ws)[..., None, None, :]
+        return (self._log_coeffs[..., None] - self.ks[..., None] * height).max(axis=-2)
 
     def _envelope(self, x, terms) -> np.ndarray:
         """`envelope` of x from the table terms = _log_terms(ws)."""
-        with np.errstate(divide="ignore"):  # a zero coordinate has no terms
-            logx = np.log(np.abs(x))
+        size = np.abs(x)
+        if np.count_nonzero(size) == size.size:
+            logx = np.log(size)
+        else:  # a zero coordinate has no terms
+            logx = np.log(size, out=np.full(size.shape, -np.inf), where=size > 0)
         return math.sqrt(self.params.m) * np.exp((logx[..., None] + terms).max(axis=-2))
 
 
-@lru_cache(maxsize=512)
-def _basis_cached(params: LatticeParams) -> MThetaBasis:
-    return MThetaBasis(params)
+@lru_cache(maxsize=64)
+def _table(m: int, n: int, tau: complex) -> MThetaBasis:
+    return MThetaBasis(LatticeParams(tau=tau, m=m, n=n, c=0))
 
 
 def mtheta_basis(params: LatticeParams) -> MThetaBasis:
-    return _basis_cached(params)
+    """The basis of the space of params, or of each space of a stack: the
+    term table of its (m, n, tau) at its c, kept with params."""
+    basis = params.__dict__.get("_basis")
+    if basis is None:
+        basis = _table(params.m, params.n, params.tau).at(params)
+        object.__setattr__(params, "_basis", basis)
+    return basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,23 +370,138 @@ class ThetaElement:
         return self.basis().eval(self.coeffs, zs)
 
     def det(self, zs) -> np.ndarray:
-        return small_det(self.eval(zs))
+        """det f at zs; not finite where f's values exceed the double range,
+        which retires a Newton start of `det_zeros` there."""
+        basis = self.basis()
+        return small_det(basis.combine(self.coeffs, basis._series(zs)))
 
     def normalized(self) -> "ThetaElement":
-        j = int(np.argmax(np.abs(self.coeffs)))
-        piv = self.coeffs[j]
-        if piv == 0:
+        x, zero = _normalized(self.coeffs[None])
+        if zero[0]:
             raise InputInvalid("cannot normalize the zero element")
-        return ThetaElement(self.params, self.coeffs / piv, self.zeros)
+        return ThetaElement(self.params, x[0], self.zeros)
 
     def with_zeros(self, zeros) -> "ThetaElement":
         return replace(self, zeros=None if zeros is None else tuple(zeros))
 
 
+def _normalized(x):
+    """Each coordinate vector of x, (K, dim), divided by its entry of
+    largest modulus, and where that entry is zero (there x is left)."""
+    piv = x[np.arange(len(x)), np.abs(x).argmax(axis=-1)]
+    zero = piv == 0
+    if np.count_nonzero(zero):
+        piv = np.where(zero, 1, piv)
+    return x / piv[:, None], zero
+
+
 def random_element(params: LatticeParams, rng) -> ThetaElement:
-    basis = mtheta_basis(params)
-    x = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    x = rng.standard_normal(params.L) + 1j * rng.standard_normal(params.L)
     return ThetaElement(params, x).normalized()
+
+
+def _carry_basis(src: LatticeParams, dst: LatticeParams, index) -> LatticeParams:
+    """dst, whose c are rows of src's, with the rows of src's basis if it
+    has one (see `MThetaBasis._rows`)."""
+    basis = src.__dict__.get("_basis")
+    if basis is not None:
+        object.__setattr__(dst, "_basis", basis._rows(dst, index))
+    return dst
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaStack:
+    """Elements of the spaces of one (m, n, tau) along leading axes: row i
+    has c params.c[i], coordinates coeffs[i] and zeros zeros[i] (None if
+    unknown).  A row with ok False is a gated-out placeholder; why, if set,
+    holds the error of each failed row."""
+
+    params: LatticeParams
+    coeffs: np.ndarray
+    zeros: np.ndarray | None
+    ok: np.ndarray
+    why: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, elements) -> "ThetaStack":
+        first = elements[0].params
+        params = first.at_c(np.array([e.params.c for e in elements]))
+        if len(elements) == 1:
+            _carry_basis(first, params, lambda x: x[None])
+        zeros = None if any(e.zeros is None for e in elements) else np.array([e.zeros for e in elements], dtype=complex)
+        coeffs = np.array([e.coeffs for e in elements], dtype=np.complex128)
+        return cls(params, coeffs, zeros, np.ones(len(elements), dtype=bool))
+
+    @classmethod
+    def concat(cls, stacks) -> "ThetaStack":
+        """The rows of stacks, one stack's after another's."""
+        join = lambda xs: np.concatenate(xs)  # noqa: E731
+        params = stacks[0].params.at_c(join([x.params.c for x in stacks]))
+        bases = [x.params.__dict__.get("_basis") for x in stacks]
+        if all(b is not None and b.ks is bases[0].ks for b in bases):
+            view = bases[0]._copy()
+            view.params = params
+            view.coeffs, view._log_coeffs = join([b.coeffs for b in bases]), join([b._log_coeffs for b in bases])
+            object.__setattr__(params, "_basis", view)
+        whys = [x.why for x in stacks]
+        why = None
+        if any(w is not None for w in whys):
+            why = join([np.full(len(x.ok), None, dtype=object) if w is None else w for x, w in zip(stacks, whys)])
+        zeros = None if any(x.zeros is None for x in stacks) else join([x.zeros for x in stacks])
+        return cls(params, join([x.coeffs for x in stacks]), zeros, join([x.ok for x in stacks]), why)
+
+    @property
+    def shape(self) -> tuple:
+        return self.params.c.shape
+
+    def __len__(self) -> int:
+        return len(self.params.c)
+
+    def _rows(self, pick) -> "ThetaStack":
+        """The rows pick(x, tail) takes of each array x with tail trailing axes."""
+        p = self.params
+        return ThetaStack(
+            _carry_basis(p, p.at_c(pick(p.c, 0)), lambda x: pick(x, 2)),
+            pick(self.coeffs, 1),
+            None if self.zeros is None else pick(self.zeros, 1),
+            pick(self.ok, 0),
+            None if self.why is None else pick(self.why, 0),
+        )
+
+    def __getitem__(self, key) -> "ThetaStack":
+        return self._rows(lambda x, tail: x[key])
+
+    def reshape(self, shape) -> "ThetaStack":
+        shape = tuple(shape)
+        return self._rows(lambda x, tail: x.reshape(shape + x.shape[x.ndim - tail :]))
+
+    def basis(self) -> MThetaBasis:
+        return mtheta_basis(self.params)
+
+    def element(self, i) -> ThetaElement:
+        p = self.params
+        zeros = None if self.zeros is None else tuple(self.zeros[i].tolist())
+        return ThetaElement(p.at_c(complex(p.c[i])), self.coeffs[i], zeros)
+
+
+def _one(stack: ThetaStack) -> ThetaElement:
+    """The element of a stack of one, or the error that gated it out."""
+    if not stack.ok[0]:
+        raise stack.why[0]
+    return stack.element(0)
+
+
+def _pick(mask, a: ThetaStack, b: ThetaStack) -> ThetaStack:
+    """Rows of a where mask holds and of b elsewhere, ok where mask holds."""
+    if np.count_nonzero(mask) == mask.size:
+        return a
+    col = mask[:, None]
+    return ThetaStack(
+        a.params.at_c(np.where(mask, a.params.c, b.params.c)),
+        np.where(col, a.coeffs, b.coeffs),
+        np.where(col, a.zeros, b.zeros),
+        mask,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +527,39 @@ def lattice_distance(w: complex, o1: complex, o2: complex) -> float:
                abs(hi - o1), abs(hi), abs(hi + o1))
 
 
-def _lattice_distances(w: np.ndarray, o1: complex, o2: complex) -> np.ndarray:
-    """lattice_distance elementwise over an array; the scalar form stays
-    for the many single-pair gates, where numpy's overhead would dominate."""
-    x, y = _lattice_solve(w, o1, o2)
-    dx = (x - np.rint(x))[..., None, None] + np.arange(-1, 2)[:, None]
-    dy = (y - np.rint(y))[..., None, None] + np.arange(-1, 2)
-    return np.abs(dx * o1 + dy * o2).min(axis=(-2, -1))
+def _lattice_distances(w: np.ndarray, o1: float, o2: complex) -> np.ndarray:
+    """lattice_distance over an array, for a real o1 (every lattice of the
+    theta layer has one), from the same nine lattice points: the form of
+    every gate of the layer."""
+    y = w.imag / o2.imag
+    x = (w.real - y * o2.real) / o1
+    r = (x - np.rint(x)) * o1 + (y - np.rint(y)) * o2
+    return np.abs(r[..., None] + _neighbours(o1, o2)).min(axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _neighbours(o1: float, o2: complex) -> np.ndarray:
+    """The steps i o1 + j o2, i and j in {-1, 0, 1}; read-only."""
+    out = (np.arange(-1, 2)[:, None] * o1 + np.arange(-1, 2) * o2).ravel()
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pairs(count: int, block: int = 1):
+    """The pairs i < j of count points, and which pairs join the first two
+    blocks when the points come in blocks of `block`."""
+    i, j = np.triu_indices(count, 1)
+    return i, j, (i < block) & (j >= block) & (j < 2 * block)
+
+
+def _row_sum(points) -> np.ndarray:
+    """Sum over the last axis, left to right as Python's sum adds."""
+    points = np.asarray(points, dtype=np.complex128)
+    total = points[..., 0]
+    for k in range(1, points.shape[-1]):
+        total = total + points[..., k]
+    return total
 
 
 def modular_distance(a: complex, b: complex, o1: complex, o2: complex) -> float:
@@ -334,9 +576,15 @@ def reduce_to_cell(z, o1: complex, o2: complex):
 def zero_sum_residual(points, params: LatticeParams) -> float:
     """Distance of m * sum(points) from m c + m n / 2 modulo the (1, tau)
     lattice, which is the sum rule satisfied by determinant zeros."""
-    w = params.m * sum(complex(z) for z in points)
-    target = params.m * params.c + params.m * params.n / 2.0
-    return lattice_distance(w - target, 1.0, params.tau)
+    p = params
+    return float(_sum_residuals(np.asarray(points, dtype=np.complex128), p.c, p.m, p.n, p.tau))
+
+
+def _sum_residuals(points: np.ndarray, c, m: int, n: int, tau: complex) -> np.ndarray:
+    """`zero_sum_residual` of each row of points, (..., N), at its c."""
+    w = m * _row_sum(points)
+    target = m * c + m * n / 2.0
+    return _lattice_distances(w - target, 1.0, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +715,17 @@ def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
 # interpolation
 
 
+def _kernel_vectors(mat: np.ndarray, m: int):
+    """Unit right kernel vectors of a stack of m x m matrices, (..., m),
+    and where each matrix has a one-dimensional kernel at 1e-5 of its
+    largest singular value, (...)."""
+    if m == 1:
+        return np.ones(mat.shape[:-1], dtype=np.complex128), np.ones(mat.shape[:-2], dtype=bool)
+    _, sv, vh = np.linalg.svd(mat)
+    cut = 1e-5 * sv[..., 0]
+    return vh[..., -1, :].conj(), (sv[..., -1] <= cut) & (sv[..., -2] > cut)
+
+
 def _kernel_vector(mat: np.ndarray, m: int) -> np.ndarray:
     if m == 1:
         return np.ones(np.shape(mat)[:-1], dtype=np.complex128)
@@ -476,7 +735,16 @@ def _kernel_vector(mat: np.ndarray, m: int) -> np.ndarray:
         raise NonGeneric("matrix value has no one-dimensional kernel") from exc
 
 
-def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
+def _gate(why: dict, mask, error, live=None) -> None:
+    """Record error(r) for each row r in mask (and in live, where given)
+    that has no error yet."""
+    if np.count_nonzero(mask):
+        for r in np.flatnonzero(mask if live is None else mask & live).tolist():
+            if r not in why:
+                why[r] = error(r)
+
+
+def interpolate(params: LatticeParams, points, vectors):
     """The unique element, up to scale, with right kernel vectors
     f(p_k) v_k = 0.
 
@@ -492,49 +760,97 @@ def interpolate(params: LatticeParams, points, vectors) -> ThetaElement:
     f(w) M v = 0.  The rows of each point are taken in units of the
     basis envelope there (`MThetaBasis.envelope` with every coordinate
     1), which keeps them comparable across the cell at any Im c.
+
+    With an array c in params, this interpolates a stack: points (K, m n)
+    and vectors (K, m n, m) give a ThetaStack, one element per c, in one
+    pass; a row that fails a gate has ok False and its error in why.  One
+    element is a stack of one, whose error is raised.
     """
     p = params
-    points = [complex(z) for z in points]
-    vectors = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
-    if len(points) != p.m * p.n or len(vectors) != len(points):
-        raise PartitionInvalid(f"need {p.m * p.n} points and as many vectors")
-    if any(v.shape != (p.m,) for v in vectors):
-        raise PartitionInvalid(f"kernel vectors must have {p.m} entries")
-    norms = [np.linalg.norm(v) for v in vectors]
+    m, n = p.m, p.n
+    count = m * n
+    if np.ndim(p.c):
+        pts = np.asarray(points, dtype=np.complex128)
+        vecs = np.asarray(vectors, dtype=np.complex128)
+        if pts.shape != p.c.shape + (count,) or vecs.shape != pts.shape + (m,):
+            raise PartitionInvalid(f"need {count} points and as many vectors of {m} entries per row")
+        stack = p
+    else:
+        points = [complex(z) for z in points]
+        vectors = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
+        if len(points) != count or len(vectors) != len(points):
+            raise PartitionInvalid(f"need {count} points and as many vectors")
+        if any(v.shape != (m,) for v in vectors):
+            raise PartitionInvalid(f"kernel vectors must have {m} entries")
+        pts, vecs = np.array([points]), np.array([vectors])
+        stack = _carry_basis(p, p.at_c(np.array([p.c])), lambda x: x[None])
+    why: dict = {}
+    us = _unit_vectors(vecs, why)
+    finite = np.isfinite(pts).all(axis=-1)
+    if np.count_nonzero(finite) < finite.size:
+        _gate(why, ~finite, lambda r: PartitionInvalid("prescribed points must be finite"))
+        pts = np.where(finite[:, None], pts, 0)
+    sr = _sum_residuals(pts, stack.c, m, n, p.tau)
+    _gate(why, sr > 1e-6, lambda r: SumRuleViolated(f"prescribed zeros miss the sum congruence by {sr[r]:.2e}"))
+    coeffs = _interpolate(stack, pts, us, why)
+    if np.ndim(p.c):
+        return ThetaStack(stack, coeffs, pts, *_outcome(np.ones(len(pts), dtype=bool), why))
+    if why:
+        raise why[0]
+    return ThetaElement(p, coeffs[0], zeros=tuple(points))
+
+
+def _unit_vectors(vecs: np.ndarray, why: dict) -> np.ndarray:
+    """vecs, (K, N, m), each divided by its norm; a row with a vector
+    that is zero or not finite fails, and its vectors become finite
+    placeholders."""
+    size = np.abs(vecs)
+    norms = np.sqrt(np.einsum("...i,...i->...", size, size))
     # a NaN or infinite entry gives a NaN or infinite norm
-    if not all(0 < norm < math.inf for norm in norms):
-        raise PartitionInvalid("kernel vectors must be finite and nonzero")
-    sr = zero_sum_residual(points, p)
-    if sr > 1e-6:
-        raise SumRuleViolated(f"prescribed zeros miss the sum congruence by {sr:.2e}")
+    if not (norms.min() > 0 and math.isfinite(norms.sum())):
+        bad = ~((0 < norms) & (norms < math.inf)).all(axis=-1)
+        _gate(why, bad, lambda r: PartitionInvalid("kernel vectors must be finite and nonzero"))
+        vecs, norms = np.where(bad[:, None, None], 1, vecs), np.where(bad[:, None], math.sqrt(vecs.shape[-1]), norms)
+    return vecs / norms[..., None]
+
+
+def _interpolate(p: LatticeParams, pts: np.ndarray, us: np.ndarray, why: dict, th=None) -> np.ndarray:
+    """The coordinates `interpolate` finds for a stack, after its argument
+    checks: finite points pts, (K, m n), and unit vectors us, (K, m n, m),
+    for the spaces of the stacked parameters p.  th, where given, is the
+    series of p at pts, read when every point lies in the cell.  Rows
+    that fail a gate are added to why."""
+    m, n = p.m, p.n
+    rows = len(pts)
     basis = mtheta_basis(p)
-    m, o1, o2 = p.m, p.omega1, p.omega2
-    ws, us = [], []
-    for z, v, norm in zip(points, vectors, norms):
-        x, y = _lattice_solve(z, o1, o2)
-        s, q = math.floor(x), math.floor(y)
-        ws.append(z - s * o1 - q * o2)
+    o1, o2 = p.omega1, p.omega2
+    y = pts.imag / o2.imag
+    s, q = np.floor((pts.real - y * o2.real) / o1), np.floor(y)
+    ws = pts
+    if np.count_nonzero(s) or np.count_nonzero(q):
+        ws, th = pts - s * o1 - q * o2, None
         # M is unitary, so M v keeps |v| = 1
-        mono = basis._mono[((s % m) * m + q % m) * p.n].reshape(m, m)
-        us.append(mono @ (v / norm))
-    ws, us = np.array(ws), np.array(us)
-    beval = basis.eval_basis(ws)
+        mono = basis._mono[((s % m) * m + q % m).astype(np.int64) * n].reshape(pts.shape + (m, m))
+        us = (mono @ us[..., None])[..., 0]
+    if th is None:
+        th = basis.series(ws)
+    beval = (th[..., None] * basis._mono[:, None, :]).reshape(th.shape + (m, m))
     # each basis element's largest log term at each point: the rows take
     # the largest, the residual the envelope of the solution
     terms = basis._log_terms(ws)
-    scale = math.sqrt(m) * np.exp(terms.max(axis=0))
-    rows = np.einsum("dpij,pj->pid", beval, us) / scale[:, None, None]
-    _, sv, vh = np.linalg.svd(rows.reshape(-1, basis.dim))
-    anchor = max(float(sv[0]), 1.0)
-    nullity = int(np.sum(sv <= 1e-8 * anchor))
-    if nullity != 1:
-        raise NullityMismatch(f"interpolation nullity {nullity}, expected 1")
-    elem = ThetaElement(p, vh[-1].conj(), zeros=tuple(points)).normalized()
-    vals = np.einsum("d,dpij,pj->pi", elem.coeffs, beval, us)
-    worst = float((np.linalg.norm(vals, axis=1) / basis._envelope(elem.coeffs, terms)).max())
-    if not worst <= 1e-7:
-        raise ResidualTooLarge(f"interpolation residual {worst:.2e} above 1e-07")
-    return elem
+    scale = math.sqrt(m) * np.exp(terms.max(axis=-2))
+    system = np.einsum("kdpij,kpj->kpid", beval, us) / scale[..., None, None]
+    _, sv, vh = np.linalg.svd(system.reshape(rows, -1, basis.dim))
+    cut = 1e-8 * np.maximum(sv[:, 0], 1.0)
+    flat = sv[:, -1] <= cut
+    if basis.dim > 1:
+        flat &= sv[:, -2] > cut
+    _gate(why, ~flat, lambda r: NullityMismatch(f"interpolation nullity {np.sum(sv[r] <= cut[r])}, expected 1"))
+    coeffs, _ = _normalized(vh[:, -1].conj())
+    vals = np.einsum("kd,kdpij,kpj->kpi", coeffs, beval, us)
+    worst = (np.linalg.norm(vals, axis=-1) / basis._envelope(coeffs, terms)).max(axis=-1)
+    _gate(why, ~(worst <= 1e-7), lambda r: ResidualTooLarge(f"interpolation residual {worst[r]:.2e} above 1e-07"))
+    return coeffs
 
 
 def _monomial_rows(f: ThetaElement):
@@ -639,23 +955,45 @@ def _ensure_zeros(f: ThetaElement) -> ThetaElement:
 
 
 def _projective_residual(x, ref) -> float:
-    """Relative residual of ref against the best multiple of x.  Each
-    vector is taken in units of its largest entry, so that the norms do
-    not overflow where the values are large; the multiple absorbs the
-    units.  A vector that vanishes or is not finite gives inf."""
-    x, ref = np.ravel(x), np.ravel(ref)
-    ux, ur = np.abs(x).max(), np.abs(ref).max()
-    if not (0 < ux < math.inf and 0 < ur < math.inf):
-        return math.inf
-    x, ref = x / ux, ref / ur
-    s = np.vdot(x, ref) / np.vdot(x, x)
-    return float(np.linalg.norm(s * x - ref) / np.linalg.norm(ref))
+    """Relative residual of ref against the best multiple of x."""
+    return float(_projective_residuals(np.ravel(x)[None], np.ravel(ref)[None])[0])
 
 
+def _projective_residuals(x, ref) -> np.ndarray:
+    """Relative residual of each row of ref, (K, N), against the best
+    multiple of the same row of x.  Each row is taken in units of its
+    largest entry, so that the norms do not overflow where the values are
+    large; the multiple absorbs the units.  A row that vanishes or is not
+    finite gives inf."""
+    ux, ur = np.abs(x).max(axis=-1), np.abs(ref).max(axis=-1)
+    good = None
+    lo, hi = min(ux.min(), ur.min()), max(ux.max(), ur.max())
+    if not (lo > 0 and hi < math.inf):
+        good = (0 < ux) & (0 < ur) & np.isfinite(ux + ur)
+        ux, ur = np.where(good, ux, 1), np.where(good, ur, 1)
+        x, ref = np.where(good[:, None], x, 1), np.where(good[:, None], ref, 1)
+    if good is not None or lo < 1e-100 or hi > 1e100:  # the squares below stay in range
+        x, ref = x / ux[:, None], ref / ur[:, None]
+    xc = x.conj()
+    d = (np.einsum("ki,ki->k", xc, ref) / np.einsum("ki,ki->k", xc, x).real)[:, None] * x - ref
+    rel = np.sqrt(np.einsum("ki,ki->k", d.conj(), d).real / np.einsum("ki,ki->k", ref.conj(), ref).real)
+    return rel if good is None else np.where(good, rel, math.inf)
+
+
+@lru_cache(maxsize=64)
 def _residual_points(tau: complex) -> np.ndarray:
     """The 20 points that certify a factorization: the four probes, five
-    times, spaced by 0.017."""
-    return np.tile(_probes(tau), 5) + 0.017 * np.arange(20)
+    times, spaced by 0.017.  Read-only."""
+    out = np.tile(_probes(tau), 5) + 0.017 * np.arange(20)
+    out.flags.writeable = False
+    return out
+
+
+def _check_degree_one(p: LatticeParams, q: LatticeParams) -> None:
+    if p.n != 1 or q.n != 1:
+        raise PartitionInvalid("theta transposition acts on degree-1 elements")
+    if p.m != q.m or p.tau != q.tau:
+        raise PartitionInvalid("operands must share m and tau")
 
 
 def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
@@ -666,22 +1004,14 @@ def theta_mu(f: ThetaElement, g: ThetaElement, tol: float = 1e-6):
     along with them: the factorization of f g with the zero blocks
     [S(g), S(f)] and the c split [c_g, c_f], as in `factorize_theta`.
     f g is read only through the values of f and g; its coefficients
-    and its degree-2 space are never formed.
+    and its degree-2 space are never formed.  One pair is a stack of one
+    of the exchange that `theta_map` runs over stacks of pairs.
     """
-    if f.params.n != 1 or g.params.n != 1:
-        raise PartitionInvalid("theta transposition acts on degree-1 elements")
-    if f.params.m != g.params.m or f.params.tau != g.params.tau:
-        raise PartitionInvalid("operands must share m and tau")
-    f = _ensure_zeros(f)
-    g = _ensure_zeros(g)
-    p = f.params
-    gap = min(
-        modular_distance(zf, zg, p.omega1, p.omega2) for zf in f.zeros for zg in g.zeros
-    )
-    if gap < CELL_GATE:
-        raise SpectraOverlap(f"zero sets collide modulo the cell (gap {gap:.2e})")
-    f1, g1 = _factor_product([f, g], [g.zeros, f.zeros], [g.params.c, f.params.c], tol)
-    return f1, g1
+    _check_degree_one(f.params, g.params)
+    fs, gs = ThetaStack.of([_ensure_zeros(f)]), ThetaStack.of([_ensure_zeros(g)])
+    blocks, cs = [gs.zeros, fs.zeros], [gs.params, fs.params]
+    f1, g1 = _factor_rows([fs, gs], blocks, cs, tol, fs.ok, lambda gap: gap < CELL_GATE)
+    return _one(f1), _one(g1)
 
 
 def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> list[ThetaElement]:
@@ -701,60 +1031,155 @@ def factorize_theta(f: ThetaElement, partition, csplit, tol: float = 1e-6) -> li
 
 
 def _factor_product(elements, partition, csplit, tol: float) -> list[ThetaElement]:
-    """`factorize_theta` of the ordered product of elements, read only
-    through its values, the matmul of theirs.  m, tau, the degree and c
-    of the product come from the elements; its space is never built.
-    Each distinct space of an element or factor has one `series` call, at
-    the block points in block order and then the 20 certificate points."""
+    """`factorize_theta` of the ordered product of elements: `_factor_rows`
+    on stacks of one."""
     first = elements[0].params
     m, tau = first.m, first.tau
     if any(e.params.m != m or e.params.tau != tau for e in elements):
         raise PartitionInvalid("product factors must share m and tau")
     n = sum(e.params.n for e in elements)
-    c = sum(e.params.c for e in elements)
     blocks = [[complex(z) for z in block] for block in partition]
     cs = [complex(x) for x in csplit]
     if len(blocks) != n or len(cs) != n:
         raise PartitionInvalid(f"need {n} blocks and {n} c values")
     if any(len(b) != m for b in blocks):
         raise PartitionInvalid(f"every block must have size {m}")
-    flat = [z for b in blocks for z in b]
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            if modular_distance(flat[i], flat[j], first.omega1, first.omega2) < CELL_GATE:
-                raise PartitionInvalid("partition blocks are not disjoint modulo the cell")
-    if abs(sum(cs) - c) > 1e-8 * max(1.0, abs(c)):
-        raise PartitionInvalid("c split does not sum to the c of the element")
-    factor_params = [LatticeParams(tau=tau, m=m, n=1, c=ck) for ck in cs]
-    for b, pk in zip(blocks, factor_params):
-        sr = zero_sum_residual(b, pk)
-        if sr > 1e-6:
-            raise SumRuleViolated(f"block sum misses its c congruence by {sr:.2e}")
+    if not all(cmath.isfinite(z) for b in blocks for z in b):
+        raise PartitionInvalid("partition points must be finite")
+    params = [LatticeParams(tau=tau, m=m, n=1, c=np.array([x])) for x in cs]
+    stacks = [ThetaStack.of([e]) for e in elements]
+    factors = _factor_rows(stacks, [np.array([b]) for b in blocks], params, tol, stacks[0].ok)
+    return [_one(fk) for fk in factors]
+
+
+def _factor_rows(elements, blocks, cs, tol: float, live, close=None) -> list[ThetaStack]:
+    """`factorize_theta` of the products of the rows of the stacks
+    elements, (K,): row r with finite zero blocks blocks[k][r], (K, m)
+    each, and c split cs[k].c[r], cs[k] the parameters of a degree-1
+    stack (whose space factor k then is).  Returns one stack per factor,
+    f_0 first.
+
+    Rows outside live come back as placeholders, ok False with no error.
+    With close, a row whose first two blocks come within a gap where
+    close(gap) holds fails with SpectraOverlap first.  A live row that
+    fails a check gets the error that check raises for one element, the
+    first it meets.  Each distinct space has one `series` call, at the
+    block and the 20 certificate points, which the interpolations read."""
+    first = elements[0].params
+    m, tau = first.m, first.tau
+    o1, o2 = first.omega1, first.omega2
+    n, rows = len(blocks), len(live)
+    nb = n * m
+    why: dict = {}
+    gate = lambda mask, error: _gate(why, mask, error, live)  # noqa: E731
+    c = sum(e.params.c for e in elements)
+    params = list(cs)
+    split = np.array([ck.c for ck in cs]).T
+    flat = np.concatenate(blocks, axis=-1)
+    # the pairs of points and, at 1/m scale, the blocks' sum rules, in one call
+    i, j, cross = _pairs(nb, m)
+    rule = _row_sum(flat.reshape(rows, n, m)) - split - 0.5
+    dist = _lattice_distances(np.concatenate([flat[:, i] - flat[:, j], rule], axis=-1), o1, o2)
+    pairs, sr = dist[:, : len(i)], m * dist[:, len(i) :]
+    if close is not None:
+        gap = pairs[:, cross].min(axis=-1)
+        gate(close(gap), lambda r: SpectraOverlap(f"zero sets collide modulo the cell (gap {gap[r]:.2e})"))
+    if len(i):
+        gate(pairs.min(axis=-1) < CELL_GATE,
+             lambda r: PartitionInvalid("partition blocks are not disjoint modulo the cell"))
+    off = np.abs(_row_sum(split) - c)
+    if off.max() > 1e-8:
+        gate(off > 1e-8 * np.maximum(1.0, np.abs(c)),
+             lambda r: PartitionInvalid("c split does not sum to the c of the element"))
+    bad = sr > 1e-6
+    if np.count_nonzero(bad):
+        for k in range(n):
+            gate(bad[:, k], lambda r, k=k: SumRuleViolated(f"block sum misses its c congruence by {sr[r, k]:.2e}"))
+    blocks = [flat[:, k * m : (k + 1) * m] for k in range(n)]
     if n == 1:
-        return [elements[0].normalized().with_zeros(tuple(blocks[0]))]
-    zs = np.concatenate([flat, _residual_points(tau)])
-    series = {p: mtheta_basis(p).series(zs) for p in dict.fromkeys([e.params for e in elements] + factor_params)}
+        x, zero = _normalized(elements[0].coeffs)
+        gate(zero, lambda r: InputInvalid("cannot normalize the zero element"))
+        return [ThetaStack(elements[0].params, x, blocks[0], *_outcome(live, why))]
+    coeffs = [np.zeros((rows, m * m), dtype=np.complex128) for _ in range(n)]
+    if not why and np.count_nonzero(live) == rows:  # every row is factored: no row is copied
+        at = slice(None)
+    else:
+        factored = live.copy()
+        factored[list(why)] = False
+        at = np.flatnonzero(factored)
+        if not at.size:
+            return [ThetaStack(pk, x, b, *_outcome(live, why)) for pk, x, b in zip(params, coeffs, blocks)]
+    rows_of = np.arange(rows)[at]
+    zs = np.empty((len(rows_of), nb + 20), dtype=np.complex128)
+    zs[:, :nb], zs[:, nb:] = flat[at], _residual_points(tau)
+    spaces = []  # (parameters given, the same at the rows factored, series there)
 
-    def values(e: ThetaElement) -> np.ndarray:
-        return e.basis().combine(e.coeffs, series[e.params])
+    def space(p: LatticeParams):
+        """The parameters of p at the rows factored and their series, one
+        `series` call per distinct space."""
+        for given, local, th in spaces:
+            if p is given or p is local:
+                return local, th
+        pc = p.c[at]
+        for given, local, th in spaces:
+            if local.n == p.n and local.c.tobytes() == pc.tobytes():
+                return local, th
+        local = p if isinstance(at, slice) else _carry_basis(p, p.at_c(pc), lambda x: x[at])
+        spaces.append((p, local, mtheta_basis(local).series(zs)))
+        return spaces[-1][1:]
 
-    prod = values(elements[0])
+    for p in [e.params for e in elements] + params:
+        space(p)
+
+    def values(p: LatticeParams, x):
+        local, th = space(p)
+        return mtheta_basis(local).combine(x, th)
+
+    prod = values(elements[0].params, elements[0].coeffs[at])
     for e in elements[1:]:
-        prod = prod @ values(e)
-    nb = len(flat)
-    vs = _kernel_vector(prod[:nb], m)
-    peeled: list[ThetaElement] = []  # f_{n-1}, f_{n-2}, ...
+        prod = prod @ values(e.params, e.coeffs[at])
+    failed: dict = {}  # errors by row of the rows factored
+    finite = np.isfinite(prod).all(axis=(1, 2, 3))
+    if np.count_nonzero(finite) < finite.size:
+        _gate(failed, ~finite, lambda r: InputInvalid("product values exceed the double range"))
+        prod = np.where(finite[:, None, None, None], prod, 0)
+    vs, kernel_ok = _kernel_vectors(prod[:, :nb], m)
+    if m > 1:
+        _gate(failed, ~kernel_ok.all(axis=-1), lambda r: NonGeneric("matrix value has no one-dimensional kernel"))
+    acc = None
     for k in range(n - 1, -1, -1):
-        fk = interpolate(factor_params[k], blocks[k], vs[k * m : (k + 1) * m])
-        vals = values(fk)
+        local = space(params[k])[0]
+        us = vs[:, k * m : (k + 1) * m]
+        if k < n - 1:  # carried through the factors peeled; the kernel vectors are unit
+            us = _unit_vectors(us, failed)
+        fk = _interpolate(local, blocks[k][at], us, failed, space(local)[1][..., k * m : (k + 1) * m])
+        if isinstance(at, slice):
+            coeffs[k], params[k] = fk, local
+        else:
+            coeffs[k][at] = fk
+        vals = values(local, fk)
         # f_k acts on the blocks before it, after the factors peeled already
-        vs[: k * m] = (vals[: k * m] @ vs[: k * m, :, None])[..., 0]
-        acc = vals[nb:] if not peeled else vals[nb:] @ acc
-        peeled.append(fk)
-    rel = _projective_residual(acc, prod[nb:])
-    if not rel <= tol:
-        raise ResidualTooLarge(f"factor product misses the element by {rel:.2e}")
-    return peeled[::-1]
+        vs[:, : k * m] = (vals[:, : k * m] @ vs[:, : k * m, :, None])[..., 0]
+        acc = vals[:, nb:] if acc is None else vals[:, nb:] @ acc
+    rel = _projective_residuals(acc.reshape(len(acc), -1), prod[:, nb:].reshape(len(acc), -1))
+    _gate(failed, ~(rel <= tol), lambda r: ResidualTooLarge(f"factor product misses the element by {rel[r]:.2e}"))
+    for r, error in failed.items():
+        why[int(rows_of[r])] = error
+    outcome = _outcome(live, why)
+    return [ThetaStack(pk, x, b, *outcome) for pk, x, b in zip(params, coeffs, blocks)]
+
+
+def _outcome(live, why: dict):
+    """ok and why of a stack whose rows outside live are placeholders and
+    whose rows in why failed with those errors."""
+    ok = live.copy()
+    if not why:
+        return ok, None
+    errors = np.full(len(live), None, dtype=object)
+    for r, error in why.items():
+        errors[r] = error
+        ok[r] = False
+    return ok, errors
 
 
 def act_ordered_theta(sigma, factors, tol: float = 1e-6) -> list[ThetaElement]:
@@ -791,55 +1216,88 @@ class ThetaDomain(PointDomain):
     def __init__(self, m: int, tau: complex):
         self.m = int(m)
         self.tau = complex(tau)
+        # complex entries per point of a stacked trial: the series of its
+        # space at the 2 m block and 20 certificate points, with the
+        # kernel's work arrays (at m = 1 to 4 a full block of involution or
+        # braid trials peaked at 0.3 to 0.65 of the bytes this allows)
+        self.entries = 2 * self.m**2 * (2 * self.m + 20) + 32
 
-    def sample(self, rng) -> ThetaElement:
+    def _draw(self, rng):
+        """One element's zero points, drawn again while two lie within
+        50 CELL_GATE modulo the cell, then its kernel vectors."""
         m, tau = self.m, self.tau
-        o1, o2 = 1.0 / m, tau / m
-
-        def trial():
+        for _ in range(MAX_REDRAW):
             zs = [complex(rng.random() / m + rng.random() * tau / m) for _ in range(m)]
-            if not all(
-                modular_distance(zs[i], zs[j], o1, o2) > 50 * CELL_GATE
-                for i in range(m)
-                for j in range(i + 1, m)
-            ):
-                raise NonGeneric("prescribed zeros too close modulo the cell")
-            try:
-                params = LatticeParams(tau=tau, m=m, n=1, c=sum(zs) - 0.5)
-            except ValueError as exc:
-                raise NonGeneric(str(exc)) from exc
             if m == 1:
-                vs = [np.ones(1, dtype=np.complex128)]
-            else:
-                vs = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(m)]
-            try:
-                return interpolate(params, zs, vs)
-            except (NullityMismatch, ResidualTooLarge) as exc:
-                raise NonGeneric(str(exc)) from exc
+                return zs, [np.ones(1, dtype=np.complex128)]
+            i, j, _ = _pairs(m)
+            pts = np.array(zs)
+            if _lattice_distances(pts[i] - pts[j], 1.0 / m, tau / m).min() > 50 * CELL_GATE:
+                return zs, [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(m)]
+        raise NonGeneric(f"degree-1 theta element: no separated zeros after {MAX_REDRAW} draws")
 
-        return redraw(trial, "degree-1 theta element")
+    def sample(self, rng, size: int | None = None):
+        """One element, or a ThetaStack of `size` elements drawn as `size`
+        single draws are, interpolated in one call.  A single draw draws
+        again an element that fails to interpolate, up to MAX_REDRAW times;
+        in a stack that row is gated out."""
+        m, tau = self.m, self.tau
+        if size is None:
+            for _ in range(MAX_REDRAW):
+                zs, vs = self._draw(rng)
+                try:
+                    return interpolate(LatticeParams(tau=tau, m=m, n=1, c=sum(zs) - 0.5), zs, vs)
+                except (NullityMismatch, ResidualTooLarge):
+                    continue
+            raise NonGeneric(f"degree-1 theta element: no generic sample after {MAX_REDRAW} draws")
+        zeros, vectors = zip(*[self._draw(rng) for _ in range(size)])
+        zeros = np.array(zeros, dtype=np.complex128)
+        params = LatticeParams(tau=tau, m=m, n=1, c=_row_sum(zeros) - 0.5)
+        return interpolate(params, zeros, np.array(vectors, dtype=np.complex128))
 
     def distance(self, a: ThetaElement, b: ThetaElement) -> float:
-        # projective distance as a direct residual; the 1 - cos^2 form
-        # cannot resolve anything below sqrt(eps)
-        if a.params == b.params:
-            return _projective_residual(b.coeffs, a.coeffs)
-        zs = _probes(self.tau)
-        return _projective_residual(b.eval(zs), a.eval(zs))
+        return float(self.distances(ThetaStack.of([a]), ThetaStack.of([b]))[0])
+
+    def distances(self, xs: ThetaStack, ys: ThetaStack) -> np.ndarray:
+        """Projective distance row by row, as a direct residual (the
+        1 - cos^2 form cannot resolve anything below sqrt(eps)): of the
+        coordinates where the two rows share a space, else of the values
+        at the four probes."""
+        same = (xs.params.n == ys.params.n) & (xs.params.c == ys.params.c)
+        out = np.empty(same.shape)
+        if same.any():
+            out[same] = _projective_residuals(ys.coeffs[same], xs.coeffs[same])
+        if not same.all():
+            a, b = xs[~same], ys[~same]
+            zs = _probes(self.tau)
+            va, vb = a.basis().eval(a.coeffs, zs), b.basis().eval(b.coeffs, zs)
+            out[~same] = _projective_residuals(vb.reshape(len(vb), -1), va.reshape(len(va), -1))
+        return out
 
 
 def theta_map(m: int = 1, tau: complex = 1j) -> TwistedMap:
-    """The zero-set exchange on degree-1 matrix theta elements."""
+    """The zero-set exchange on degree-1 matrix theta elements.  Its body
+    maps stacks of pairs: a pair whose zero sets come within 10 CELL_GATE
+    of each other modulo the cell, or that fails a NonGeneric check of
+    the exchange, is gated out; any other error of the exchange is raised
+    for the first row that meets it."""
     dom = ThetaDomain(m, tau)
 
-    def gen(fa: ThetaElement, fb: ThetaElement):
-        if fa.zeros is None or fb.zeros is None:
-            return True
-        o1, o2 = 1.0 / dom.m, dom.tau / dom.m
-        gap = min(modular_distance(x, y, o1, o2) for x in fa.zeros for y in fb.zeros)
-        return gap > 10 * CELL_GATE
+    def too_close(gap):
+        return ~(gap > 10 * CELL_GATE)
 
-    def ap(fa, fb):
-        return theta_mu(fa, fb)
+    def stack(u: ThetaStack, v: ThetaStack):
+        _check_degree_one(u.params, v.params)
+        f1, g1 = _factor_rows([u, v], [v.zeros, u.zeros], [v.params, u.params], 1e-6, u.ok & v.ok, too_close)
+        if f1.why is not None:
+            for error in f1.why:
+                if error is not None and not isinstance(error, NonGeneric):
+                    raise error
+        return _pick(f1.ok, f1, u), _pick(f1.ok, g1, v), f1.ok
 
-    return TwistedMap("theta_mu", dom, ap, gen)
+    def body(u: ThetaElement, v: ThetaElement):
+        _check_degree_one(u.params, v.params)
+        phi, psi, generic = stack(ThetaStack.of([_ensure_zeros(u)]), ThetaStack.of([_ensure_zeros(v)]))
+        return phi.element(0), psi.element(0), bool(generic[0])
+
+    return TwistedMap("theta_mu", dom, _body=body, _stack=stack)

@@ -20,8 +20,10 @@ whole block of trials is drawn in one call and mapped once per stack:
 the stream is read in the same order as one trial at a time, and the
 accepted samples are the same points.  A block holds at most BLOCK_BYTES
 of its trials' arrays, so memory does not grow with the sample count.
-Other maps run the same residual on blocks of one trial, as lists of
-one point mapped by apply.
+The theta exchange (`mtheta.theta_map`) has such a body too, over stacks
+of theta elements.  The maps without one, `pair_map`, the maps of the GF
+construction and user maps given by apply, run the same residual on
+blocks of one trial, as lists of one point mapped by apply.
 """
 
 from __future__ import annotations
@@ -55,15 +57,22 @@ def point_distance(a, b) -> float:
 
 
 class PointDomain:
-    """Sampling and metric for one kind of spectral parameter."""
+    """Sampling and metric for one kind of spectral parameter.  entries
+    counts the complex entries a point holds in a stacked trial, which
+    sizes the trial's blocks."""
 
     kind = "abstract"
+    entries = 1
 
     def sample(self, rng):
         raise NotImplementedError
 
     def distance(self, a, b) -> float:
         return point_distance(a, b)
+
+    def distances(self, xs, ys):
+        """distance between corresponding points of two stacks."""
+        return _sizes(xs - ys) / np.maximum(1.0, np.maximum(_sizes(xs), _sizes(ys)))
 
 
 class ScalarDomain(PointDomain):
@@ -82,6 +91,7 @@ class MatrixDomain(PointDomain):
 
     def __init__(self, m: int):
         self.m = int(m)
+        self.entries = self.m * self.m
 
     def sample(self, rng, size: int | None = None):
         """One point, or a stack of `size` points equal bit for bit to
@@ -100,6 +110,7 @@ class VectorDomain(PointDomain):
 
     def __init__(self, m: int):
         self.m = int(m)
+        self.entries = self.m
 
     def sample(self, rng):
         m = self.m
@@ -124,11 +135,11 @@ class TwistedMap:
     """Named map mu(u, v) -> (phi, psi) over a point domain.
 
     A map is given by _apply with an optional gate _is_generic, or, for
-    the closed-form maps, by a body (u, v) -> (phi, psi, generic) that
-    gates and maps a pair in one pass.  _stack is such a body over stacks
-    of pairs along a leading axis; rows that fail the gate get finite
-    placeholders, so nothing divides by or solves a gated-out
-    denominator.
+    the closed-form maps and the theta exchange, by a body (u, v) ->
+    (phi, psi, generic) that gates and maps a pair in one pass.  _stack
+    is such a body over stacks of pairs along a leading axis; rows that
+    fail the gate get finite placeholders, so nothing divides by or
+    solves a gated-out denominator.
 
     apply raises NonGeneric outside the genericity gate; verifiers
     respond by redrawing the sample.
@@ -219,18 +230,6 @@ def builtin_map(name: str, m: int = 2, q_scale=1.0 + 0.0j, q_shift=0.0 + 0.0j) -
     raise UnknownMap(f"no built-in map named {name!r}")
 
 
-def redraw(trial, what: str):
-    """Run trial() until it returns, retrying up to MAX_REDRAW times while
-    it raises NonGeneric; a trial that draws its own points resamples
-    them on every retry."""
-    for _ in range(MAX_REDRAW):
-        try:
-            return trial()
-        except NonGeneric:
-            continue
-    raise NonGeneric(f"{what}: no generic sample after {MAX_REDRAW} draws")
-
-
 def verify_samples(check: str, subject: str, samples: int, seed: int, tol: float, trials) -> VerificationReport:
     """Record a residual for each of `samples` seeded generic trials.
 
@@ -264,70 +263,107 @@ def _block_cap(trial_bytes: int) -> int:
     return max(1, BLOCK_BYTES // trial_bytes)
 
 
-def _trials(map_: TwistedMap, points: int, residual, entries: int = 0, ops=()):
+def _trials(map_: TwistedMap, points: int, residual, entries: int = 0, ops=(), words: int = 1):
     """Blocks of trials: each trial draws `points` points, and
     residual(step, pts) returns each trial's residual and generic flag
     (either may be one value for the block), where step(us, vs) ->
-    (phis, psis, generic) maps stacks of pairs.
+    (phis, psis, generic) maps stacks of pairs.  An identity that runs
+    `words` words is called as residual(step, pts, group), and maps the
+    pairs of up to `group` words in one step call.
 
     When the map and every operator in `ops` evaluate stacks, a block
     holds many trials: `entries` counts the complex entries of the
     operators a trial forms (0 for point identities); with the points'
-    entries, times the copies a trial's steps hold at once, it sizes the
-    block.  Otherwise a block is one trial whose points are lists of
+    entries (dom.entries each), times the copies a trial's steps hold at
+    once, it sizes the block, so that no step call gets more rows than
+    that cap.  Otherwise a block is one trial whose points are lists of
     one, mapped by apply, and a NonGeneric raised anywhere in it makes
     the trial non-generic."""
     dom = map_.domain
     if map_._stack is None or any(op._stack is None for op in ops):
 
         def step(us, vs):
-            phi, psi = map_.apply(us[0], vs[0])
-            return [phi], [psi], True
+            images = [map_.apply(u, v) for u, v in zip(us, vs)]
+            return [phi for phi, _ in images], [psi for _, psi in images], True
 
         def one(rng, k):
             try:
-                return residual(step, tuple([dom.sample(rng)] for _ in range(points)))[0], (True,)
+                pts = tuple([dom.sample(rng)] for _ in range(points))
+                # lists of one gain nothing from mapping the words together
+                return (residual(step, pts) if words == 1 else residual(step, pts, 1))[0], (True,)
             except NonGeneric:
                 return (0.0,), (False,)
 
         return one
-    size = dom.m * dom.m if dom.kind == "matrix" else 1
-    cap = _block_cap(_TRIAL_COPIES * 16 * (points * size + entries))
+    cap = _block_cap(_TRIAL_COPIES * 16 * (points * dom.entries + entries))
 
     def block(rng, k):
-        k = min(k, cap)
+        k = min(k, max(1, cap // words))
         x = dom.sample(rng, k * points)
         x = x.reshape((k, points) + x.shape[1:])
-        res, generic = residual(map_._stack, tuple(x[:, j] for j in range(points)))
+        pts = tuple(x[:, j] for j in range(points))
+        if words == 1:
+            res, generic = residual(map_._stack, pts)
+        else:
+            res, generic = residual(map_._stack, pts, max(1, min(words, cap // k)))
         return np.broadcast_to(res, (k,)).tolist(), np.broadcast_to(generic, (k,)).tolist()
 
     return block
 
 
-def _act_stack(stack, word, pts):
-    """act over stacks of tuples; returns the images and where every
-    step was generic."""
-    pts = list(pts)
-    generic = True
-    for i in word:
-        pts[i - 1], pts[i], ok = stack(pts[i - 1], pts[i])
-        generic = generic & ok
-    return pts, generic
+def _rows_of(parts):
+    """The rows of stacks of points, one stack's after another's: lists of
+    points, arrays, or stacks with a concat of their own."""
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    if isinstance(first, list):
+        return [x for part in parts for x in part]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return type(first).concat(parts)
+
+
+def _part(x, k: int, count: int):
+    """The rows of word k of count from a step over the rows of all words
+    (one flag for all rows stands for each word's)."""
+    if count == 1 or not hasattr(x, "__len__"):
+        return x
+    rows = len(x) // count
+    return x[k * rows : (k + 1) * rows]
+
+
+def _act_stack(stack, words, pts, group: int | None = None):
+    """act over stacks of tuples, along each of several words of one
+    length; returns, per word, the images and where every step was
+    generic.  Each step maps the pairs of `group` words (all by default)
+    in one call, the rows of one word after another's."""
+    if group is not None and group < len(words):
+        parts = [words[i : i + group] for i in range(0, len(words), group)]
+        return [out for part in parts for out in _act_stack(stack, part, pts)]
+    runs = [list(pts) for _ in words]
+    generic = [True] * len(words)
+    for letters in zip(*words):
+        phi, psi, ok = stack(*(_rows_of([run[i + j - 1] for run, i in zip(runs, letters)]) for j in (0, 1)))
+        for k, (run, i) in enumerate(zip(runs, letters)):
+            run[i - 1], run[i] = _part(phi, k, len(words)), _part(psi, k, len(words))
+            generic[k] = generic[k] & _part(ok, k, len(words))
+    return list(zip(runs, generic))
 
 
 def _distances(dom: PointDomain, xs, ys):
-    """Distances between corresponding points of two stacks: arrays in
-    one pass, lists point by point with dom.distance."""
+    """Distances between corresponding points of two stacks: stacks in
+    one pass with dom.distances, lists point by point with dom.distance."""
     if isinstance(xs, list):
         return [dom.distance(x, y) for x, y in zip(xs, ys)]
-    return _sizes(xs - ys) / np.maximum(1.0, np.maximum(_sizes(xs), _sizes(ys)))
+    return dom.distances(xs, ys)
 
 
 def verify_involution(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Check mu(mu(u, v)) = (u, v) on seeded generic samples."""
 
     def residual(stack, pts):
-        back, generic = _act_stack(stack, (1, 1), pts)
+        [(back, generic)] = _act_stack(stack, [(1, 1)], pts)
         return np.maximum(*(_distances(map_.domain, x, y) for x, y in zip(back, pts))), generic
 
     return verify_samples("involution", map_.name, samples, seed, tol, _trials(map_, 2, residual))
@@ -336,12 +372,11 @@ def verify_involution(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: 
 def verify_braid(map_: TwistedMap, samples: int = 100, seed: int = 0, tol: float = 1e-8) -> VerificationReport:
     """Compare sigma1 sigma2 sigma1 with sigma2 sigma1 sigma2 on triples."""
 
-    def residual(stack, pts):
-        left, gl = _act_stack(stack, (1, 2, 1), pts)
-        right, gr = _act_stack(stack, (2, 1, 2), pts)
+    def residual(stack, pts, group):
+        (left, gl), (right, gr) = _act_stack(stack, [(1, 2, 1), (2, 1, 2)], pts, group)
         return np.max([_distances(map_.domain, x, y) for x, y in zip(left, right)], axis=0), gl & gr
 
-    return verify_samples("braid", map_.name, samples, seed, tol, _trials(map_, 3, residual))
+    return verify_samples("braid", map_.name, samples, seed, tol, _trials(map_, 3, residual, words=2))
 
 
 def act(map_: TwistedMap, word, points):

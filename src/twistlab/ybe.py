@@ -51,6 +51,8 @@ from .transpositions import (
     TwistedMap,
     VectorDomain,
     _distances,
+    _part,
+    _rows_of,
     _trials,
     adjacent_word,
     verify_samples,
@@ -190,30 +192,43 @@ def verify_inverse(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1
     return verify_samples("inverse", r.name, samples, seed, tol, _trials(map_, 2, residual, r.n**4, (r,)))
 
 
-def _scatter(evaluate, step, n: int, word, params):
+def _scatter(evaluate, step, n: int, words, params, group: int | None = None):
     """The word loop of `scattering` and of the Yang-Baxter residual,
-    over one tuple of points or over stacks of tuples.
+    along each of words (of one length), over one tuple of points or over
+    stacks of tuples.
 
     Each letter i left-multiplies by evaluate(u, v) placed on legs
     (i, i+1), then advances the pair by step(u, v) -> (phi, psi,
-    generic).  Returns the operator, the final parameters and where
-    every step was generic."""
-    pts = list(params)
-    n_legs = len(pts)
+    generic).  At each position the pairs of `group` words (all by
+    default) are evaluated and mapped in one call each, the rows of one
+    word after another's.  Returns, per word, the operator, the final
+    parameters and where every step was generic."""
+    if group is not None and group < len(words):
+        parts = [words[i : i + group] for i in range(0, len(words), group)]
+        return [out for part in parts for out in _scatter(evaluate, step, n, part, params)]
+    runs = [list(params) for _ in words]
+    n_legs = len(runs[0])
     dims = [n] * n_legs
-    op = _identity(n**n_legs, np.complex128)
-    generic = True
-    for position, i in enumerate(word):
-        i = int(i)
-        if not 1 <= i <= n_legs - 1:
-            raise ValueError(f"word index {i} out of range for {n_legs} legs")
+    count = len(words)
+    ops = [_identity(n**n_legs, np.complex128)] * count
+    generic = [True] * count
+    for position, letters in enumerate(zip(*words)):
+        letters = [int(i) for i in letters]
+        for i in letters:
+            if not 1 <= i <= n_legs - 1:
+                raise ValueError(f"word index {i} out of range for {n_legs} legs")
+        us, vs = (_rows_of([run[i + j - 1] for run, i in zip(runs, letters)]) for j in (0, 1))
         try:
-            op = place(evaluate(pts[i - 1], pts[i]), (i - 1, i), dims) @ op
-            pts[i - 1], pts[i], ok = step(pts[i - 1], pts[i])
+            mats = evaluate(us, vs)
+            phi, psi, ok = step(us, vs)
         except NonGeneric as exc:
             raise NonGeneric(f"non-generic pair at word position {position}") from exc
-        generic = generic & ok
-    return op, tuple(pts), generic
+        for k, i in enumerate(letters):
+            mat = mats if np.ndim(mats) == 2 else _part(mats, k, count)
+            ops[k] = place(mat, (i - 1, i), dims) @ ops[k]
+            runs[k][i - 1], runs[k][i] = _part(phi, k, count), _part(psi, k, count)
+            generic[k] = generic[k] & _part(ok, k, count)
+    return [(op, tuple(run), g) for op, run, g in zip(ops, runs, generic)]
 
 
 def scattering(r: RMatrix, word, params):
@@ -225,7 +240,7 @@ def scattering(r: RMatrix, word, params):
     parameters whenever R is a twisted R-matrix.
     """
     apply = r.twisted_map.apply
-    op, pts, _ = _scatter(r, lambda u, v: (*apply(u, v), True), r.n, word, params)
+    [(op, pts, _)] = _scatter(r, lambda u, v: (*apply(u, v), True), r.n, [word], params)
     return op, pts
 
 
@@ -234,13 +249,13 @@ def verify_tybe(r: RMatrix, samples: int = 100, seed: int = 0, tol: float = 1e-9
     accumulate the same operator and the same final parameters."""
     map_ = r.twisted_map
 
-    def residual(stack, pts):
-        left_op, left_pts, gl = _scatter(r.stack, stack, r.n, (1, 2, 1), pts)
-        right_op, right_pts, gr = _scatter(r.stack, stack, r.n, (2, 1, 2), pts)
+    def residual(stack, pts, group):
+        words = [(1, 2, 1), (2, 1, 2)]
+        (left_op, left_pts, gl), (right_op, right_pts, gr) = _scatter(r.stack, stack, r.n, words, pts, group)
         dist = np.max([_distances(map_.domain, a, b) for a, b in zip(left_pts, right_pts)], axis=0)
         return np.maximum(_specnorm(left_op - right_op), dist), gl & gr
 
-    return verify_samples("tybe", r.name, samples, seed, tol, _trials(map_, 3, residual, r.n**6, (r,)))
+    return verify_samples("tybe", r.name, samples, seed, tol, _trials(map_, 3, residual, r.n**6, (r,), words=2))
 
 
 # ---------------------------------------------------------------------------
