@@ -45,12 +45,12 @@ def theta_eval(coeffs, ks, zs):
 
 
 def theta_eval_grid(coeffs, ks, us, vs):
-    """Evaluate D truncated Fourier series at the points us[i] + vs[j].
+    """Evaluate D truncated Fourier series, or a stack, at us[i] + vs[j].
 
     coeffs, ks as for theta_eval
     us:     (U,) complex points of the first axis
     vs:     (V,) complex points of the second axis
-    returns (D, U, V) with out[d, i, j] = sum_t coeffs[d, t] * exp(2 pi i ks[d, t] (us[i] + vs[j]))
+    returns (..., D, U, V) with out[..., d, i, j] = sum_t coeffs[..., d, t] * exp(2 pi i ks[d, t] (us[i] + vs[j]))
     """
     mid = ks.shape[1] // 2
     tu, tv = 2j * np.pi * us, 2j * np.pi * vs
@@ -58,7 +58,7 @@ def theta_eval_grid(coeffs, ks, us, vs):
     step = ks[0, :, None] - ks[0, mid]
     # the factors of the first axis go into the coefficients, one row per
     # (d, i); the matrix product sums the terms at every vs[j]
-    rows = np.exp(kmid * tu)[:, :, None] * (coeffs[:, None, :] * np.exp(step * tu).T)
+    rows = np.exp(kmid * tu)[:, :, None] * (coeffs[..., None, :] * np.exp(step * tu).T)
     out = rows @ np.exp(step * tv)
     out *= np.exp(kmid * tv)[:, None, :]
     return out

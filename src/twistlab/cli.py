@@ -320,7 +320,8 @@ def cmd_theta_zeros(args):
     artifacts = {
         "zeros": [c2j(z) for z in zs.points],
         "sum_residual": zs.sum_residual,
-        "grid": zs.grid,
+        "strip_counts": list(zs.strip_counts),
+        "winding_gap": zs.winding_gap,
         "newton_steps": zs.newton_steps,
     }
     return report_body(artifacts, zs.sum_residual, tol)

@@ -176,8 +176,8 @@ class MThetaBasis:
     it alone would overflow.  There the series share one window of j
     that keeps every term above exp(-40) of the largest.  The size of a
     combination at a point of the strip is its largest single term
-    (`envelope`), the one scale behind interpolation and `det_zeros`;
-    building a basis evaluates nothing.
+    (`_envelope`), the scale of interpolation; building a basis
+    evaluates nothing.
     """
 
     def __init__(self, params: LatticeParams):
@@ -263,13 +263,6 @@ class MThetaBasis:
     def series(self, zs) -> np.ndarray:
         """theta_abs at the points zs, one row per element: (..., dim, P).
         A value beyond the double range raises InputInvalid."""
-        th = self._series(zs)
-        if np.count_nonzero(np.isfinite(th)) < th.size:
-            raise InputInvalid("theta values exceed the double range: points too far from the cell")
-        return th
-
-    def _series(self, zs) -> np.ndarray:
-        """`series` without the range check, not finite where a value is."""
         p = self.params
         step = p.omega2
         zs = np.asarray(zs, dtype=np.complex128)
@@ -278,17 +271,18 @@ class MThetaBasis:
         q = np.floor(zs.imag / step.imag)
         w = zs - q * step
         th = theta_eval(self.coeffs, self.ks, w)
-        if not np.count_nonzero(q):  # all points in the strip, as on Newton steps
-            return th
-        # q applications of the tau/m law from the strip back to zs
-        c = np.asarray(p.c)[..., None]
-        lift = self._a_m * q[..., None, :] + (q * (p.m * p.n * w - c + (q - 1) * (p.n * p.tau / 2)))[..., None, :]
-        # the law's factor has modulus exp(2 pi Im lift); where that alone
-        # would overflow, the product is taken in log form
-        if 2 * np.pi * lift.imag.max() < 700:
-            return th * np.exp(-2j * np.pi * lift)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.exp(np.log(th) - 2j * np.pi * lift)
+        if np.count_nonzero(q):
+            # q applications of the tau/m law from the strip back to zs
+            c = np.asarray(p.c)[..., None]
+            lift = self._a_m * q[..., None, :] + (q * (p.m * p.n * w - c + (q - 1) * (p.n * p.tau / 2)))[..., None, :]
+            # the law's factor has modulus exp(2 pi Im lift); where that
+            # alone would overflow, the product is taken in log form
+            logs = 2 * np.pi * lift.imag.max() >= 700
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                th = np.exp(np.log(th) - 2j * np.pi * lift) if logs else th * np.exp(-2j * np.pi * lift)
+        if np.count_nonzero(np.isfinite(th)) < th.size:
+            raise InputInvalid("theta values exceed the double range: points too far from the cell")
+        return th
 
     def eval_basis(self, zs) -> np.ndarray:
         """Matrix values of every element: (..., dim, P, m, m)."""
@@ -307,33 +301,14 @@ class MThetaBasis:
         """Matrix values of the combination with coefficients x: (..., P, m, m)."""
         return self.combine(x, self.series(zs))
 
-    def eval_grid(self, x, us, vs) -> np.ndarray:
-        """Matrix values of the combination x at the points us[i] + vs[j],
-        all in the strip 0 <= Im z < Im tau / m: (len(us) * len(vs), m, m),
-        row-major in (i, j), for a single space.  The coordinates x scale
-        the series coefficients, so the kernel sums the combination's
-        terms at once."""
-        coeffs = self.coeffs * np.asarray(x, dtype=np.complex128)[:, None]
-        th = theta_eval_grid(coeffs, self.ks, us, vs).reshape(self.dim, -1)
-        m = self.params.m
-        return (th.T @ self._mono).reshape(-1, m, m)
-
-    def envelope(self, x, ws) -> np.ndarray:
-        """Size of the combination x, (..., dim), at the points ws of the
-        strip 0 <= Im w < Im tau / m: sqrt(m) times its largest single
-        term |x_d coeffs[d, j]| exp(-2 pi ks[d, j] Im w), (..., P).  It
-        depends on Im w alone and does not vanish at a zero of the
-        combination; the largest term is found in log form, so that none
-        overflows."""
-        return self._envelope(x, self._log_terms(ws))
-
     def _log_terms(self, ws) -> np.ndarray:
         """log of each element's largest term at the points ws: (..., dim, P)."""
         height = 2 * np.pi * np.imag(ws)[..., None, None, :]
         return (self._log_coeffs[..., None] - self.ks[..., None] * height).max(axis=-2)
 
     def _envelope(self, x, terms) -> np.ndarray:
-        """`envelope` of x from the table terms = _log_terms(ws)."""
+        """Size of the combination x, (..., dim), at points ws of the strip
+        from terms = _log_terms(ws), (..., P): sqrt(m) times its largest term."""
         size = np.abs(x)
         if np.count_nonzero(size) == size.size:
             logx = np.log(size)
@@ -370,10 +345,12 @@ class ThetaElement:
         return self.basis().eval(self.coeffs, zs)
 
     def det(self, zs) -> np.ndarray:
-        """det f at zs; not finite where f's values exceed the double range,
-        which retires a Newton start of `det_zeros` there."""
-        basis = self.basis()
-        return small_det(basis.combine(self.coeffs, basis._series(zs)))
+        """det f at zs.  A value beyond the double range raises InputInvalid."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = small_det(self.eval(zs))
+        if np.count_nonzero(np.isfinite(det)) < det.size:
+            raise InputInvalid("det f exceeds the double range: points too far from the cell")
+        return det
 
     def normalized(self) -> "ThetaElement":
         x, zero = _normalized(self.coeffs[None])
@@ -595,120 +572,131 @@ def _sum_residuals(points: np.ndarray, c, m: int, n: int, tau: complex) -> np.nd
 class ZeroSet:
     points: tuple
     sum_residual: float
-    grid: int  # side of the scan grid that found the zeros
-    newton_steps: int  # batched Newton iterations over all scans
+    strip_counts: tuple  # zeros between neighbouring kept lines
+    winding_gap: float  # worst kept line's winding number off integers
+    newton_steps: int  # batched Newton iterations
 
 
-_NEWTON_CAP = 60
-_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+_NEWTON_CAP = 8
+# (lines per zero, irrational first offset in spacings): try, retry
+_LINE_TRIES = ((2, (5**0.5 - 1) / 2), (3, 2**0.5 - 1))
 
 
-def _normalized_det(f: ThetaElement, zs) -> np.ndarray:
-    """|det f| over the m-th power of f's envelope at points zs of the
-    strip, so that values compare across heights in the cell.  det f
-    comes from `ThetaElement.det`, the closed form `small_det` at
-    arbitrary points."""
-    return np.abs(f.det(zs)) / f.basis().envelope(f.coeffs, zs) ** f.params.m
+def _slope_rows(f: ThetaElement):
+    """Series rows of f and f', (2, dim, T), and their wavenumbers."""
+    basis = f.basis()
+    rows = basis.coeffs * f.coeffs[:, None]
+    return np.stack([rows, rows * (2j * np.pi * basis.ks)]), basis.ks
 
 
-def _newton_roots(f: ThetaElement, zs: np.ndarray, limit: float):
-    """Central-difference Newton on det f from every start at once, one
-    det call on 3 points per active start and step.  A start retires when
-    its step drops below 1e-12 (converged), exceeds limit, is not finite,
-    or its derivative vanishes.  Returns the converged roots, in start
-    order, and the number of steps taken."""
-    h = 1e-6  # central-difference step
+def _det_slope(f: ThetaElement, th: np.ndarray):
+    """det f and its derivative from the `_slope_rows` series th, (2, dim, N),
+    by Jacobi's formula: the sum over i of det f with row i from f'."""
+    m = f.params.m
+    val, der = (th.swapaxes(1, 2) @ f.basis()._mono).reshape(2, -1, m, m)
+    dets = np.repeat(val[None], m + 1, axis=0)
+    dets[np.arange(1, m + 1), :, np.arange(m)] = der.swapaxes(0, 1)
+    dets = small_det(dets)
+    return dets[0], dets[1:].sum(axis=0)
+
+
+def _newton(f: ThetaElement, zs: np.ndarray):
+    """Newton on det f from all starts at once, each step from the cell; a
+    start retires when its step is below 1e-12 (converged), above the cell
+    or not finite.  Returns the converged roots, their slopes and the steps."""
+    o1, o2 = f.params.omega1, f.params.omega2
+    rows, ks = _slope_rows(f)
     z = np.array(zs, dtype=np.complex128)
+    slopes = np.zeros_like(z)
     active = np.arange(len(z))
     converged = np.zeros(len(z), dtype=bool)
     steps = 0
     while active.size and steps < _NEWTON_CAP:
         steps += 1
-        za = z[active]
-        # a start that walks far out overflows det f; its step is then
-        # not finite and it retires below
-        with np.errstate(over="ignore", invalid="ignore"):
-            g0, gp, gm = f.det(np.concatenate([za, za + h, za - h])).reshape(3, -1)
-            deriv = (gp - gm) / (2 * h)
-            live = deriv != 0
-            dz = g0 / np.where(live, deriv, 1)
+        za = reduce_to_cell(z[active], o1, o2)
+        det, slopes[active] = _det_slope(f, theta_eval(rows, ks, za))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dz = det / slopes[active]
         z[active] = za - dz
         size = np.abs(dz)
-        done = live & (size < 1e-12)
-        converged[active[done]] = True
-        # a non-finite step fails this comparison too
-        active = active[live & ~done & (size <= limit)]
-    return z[converged], steps
+        converged[active[size < 1e-12]] = True
+        # a non-finite step fails both comparisons
+        active = active[(size >= 1e-12) & (size <= o1 + abs(o2))]
+    return reduce_to_cell(z[converged], o1, o2), slopes[converged], steps
+
+
+@lru_cache(maxsize=None)
+def _moment_table(m: int, points: int, count: int) -> np.ndarray:
+    """zeta^q / (2 pi i m points) at x = k / (m points), (points, count)."""
+    out = np.exp(2j * np.pi / points * np.outer(np.arange(points), np.arange(count))) / (2j * np.pi * m * points)
+    out.flags.writeable = False
+    return out
+
+
+def _strip_starts(p: LatticeParams, heights: np.ndarray, moments: np.ndarray):
+    """Starts, strip counts and worst kept line's gap from moments[j, q] =
+    F_q(heights[j]) = (1 / 2 pi i) int_0^{1/m} zeta^q (det f)'/det f dx / |zeta|^q."""
+    m, mn = p.m, p.m * p.n
+    gap = np.abs(moments[:, 0] - np.rint(moments[:, 0].real))
+    keep = np.flatnonzero(gap <= 1e-6)
+    if not keep.size:
+        return np.zeros(0, complex), (), float(gap.min())
+    # z -> z + tau/m: zeta gains exp(2 pi i tau), (det f)'/det f loses 2 pi i m^2 n
+    lines = np.concatenate([moments[keep], moments[keep[:1]] * np.exp(2j * np.pi * p.tau.real * np.arange(2 * mn))])
+    lines[-1, 0] -= mn
+    ys = np.append(heights[keep], heights[keep[0]] + p.omega2.imag)
+    counts = -np.diff(np.rint(lines[:, 0].real).astype(int))
+    starts = [np.zeros(0, complex)]
+    for k in sorted(set(counts.tolist()) - {0}) if counts.min() >= 0 else ():
+        i = np.flatnonzero(counts == k)
+        # power sums of w = zeta exp(2 pi m mid) over a strip of middle
+        # height mid: its bottom line's F_q less its top's
+        e = (np.pi * m * (ys[i + 1] - ys[i]))[:, None] * np.arange(2 * k)
+        s = np.exp(e) * lines[i, : 2 * k] - np.exp(-e) * lines[i + 1, : 2 * k]
+        if k == 1:
+            w = s[:, 1:] / s[:, :1]
+        else:  # the Hankel pencil's eigenvalues
+            hankel = np.add.outer(np.arange(k), np.arange(k))
+            w = np.linalg.eigvals(np.linalg.solve(s[:, hankel], s[:, hankel + 1]))
+        starts.append((np.log(w) / (2j * np.pi * m) + 0.5j * (ys[i] + ys[i + 1])[:, None]).ravel())
+    return np.concatenate(starts), tuple(counts.tolist()), float(gap[keep].max())
 
 
 def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
-    """Locate the m n determinant zeros in the fundamental cell.
-
-    Scan: |det f| on a 48 x 48 mesh of the (1/m, tau/m) cell, over the
-    m-th power of f's envelope (`MThetaBasis.envelope`, its largest
-    term) so local minima are meaningful at every height.  The mesh is
-    the outer sum of its two axes, so the series come from the grid
-    kernel `theta_eval_grid` and the determinants from the closed form
-    `small_det`; the envelope depends on the height alone and is
-    computed once per height.  The Newton starts are the grid's
-    periodic 8-neighbour local minima and its 2 m n + 4 smallest cells.
-
-    Newton: central differences on all starts at once (`_newton_roots`),
-    at most 60 steps.  Converged roots are moved into the cell, and a
-    root is kept only where its normalized |det f| is at most 1e-7 of
-    the scan's largest.
-
-    Dedup: roots closer than CELL_GATE modulo the cell form one class,
-    and each class keeps its root with the smallest normalized |det f|.
-    If the classes do not number m n, the grid doubles, up to twice.
-    The zeros come back ordered by their lattice coordinates.
-    """
+    """The m n determinant zeros in the cell, in lattice-coordinate order,
+    by the argument principle on lines of the strip, where det f is
+    1/m-periodic and zeta = exp(2 pi i m z) (Delves and Lyness 1967; see
+    README).  Lines off an integer winding number by over 1e-6 are dropped.
+    m n roots with |det f| below 1e-9 cells of its slope, CELL_GATE apart
+    and meeting the sum rule are accepted; else 3 m n lines are tried."""
     p = f.params
-    o1, o2 = p.omega1, p.omega2
-    expected = p.m * p.n
-    basis = f.basis()
-    g = 48
+    m, mn, o1, o2 = p.m, p.m * p.n, p.omega1, p.omega2
+    rows, ks = _slope_rows(f)
     steps = 0
-    for _ in range(3):
-        xs = (np.arange(g) + 0.5) / g
-        us, vs = xs * o1, xs * o2
-        zs = (us[:, None] + vs[None, :]).ravel()
-        dets = small_det(basis.eval_grid(f.coeffs, us, vs)).reshape(g, g)
-        ng = np.abs(dets) / basis.envelope(f.coeffs, vs) ** p.m
-        scale0 = float(ng.max())
-        # periodic local minima, read off the grid with a wrapped border
-        # of one cell, then the smallest cells; a mask rather than
-        # np.union1d, whose np.unique imports numpy.ma (1 MB)
-        wrap = np.arange(-1, g + 1) % g
-        ring = ng[np.ix_(wrap, wrap)]
-        start = np.logical_and.reduce([ng <= ring[1 + i : g + 1 + i, 1 + j : g + 1 + j] for i, j in _NEIGHBOURS])
-        start = start.ravel()
-        start[np.argsort(ng, axis=None)[: 2 * expected + 4]] = True
-        found, taken = _newton_roots(f, zs[start], 3 * (abs(o1) + abs(o2)))
+    for per_zero, offset in _LINE_TRIES:
+        count = per_zero * mn
+        points = max(16, 1 << math.ceil(math.log2(8 * count / p.tau.imag)))
+        heights = (np.arange(count) + offset) * (o2.imag / count)
+        th = theta_eval_grid(rows, ks, 1j * heights, np.arange(points) / (m * points) + 0j)
+        det, slope = _det_slope(f, th.reshape(2, len(ks), -1))
+        moments = (slope / det).reshape(count, points) @ _moment_table(m, points, 2 * mn)
+        starts, counts, gap = _strip_starts(p, heights, moments)
+        roots, slopes, taken = _newton(f, starts)
         steps += taken
-        roots = reduce_to_cell(found, o1, o2)
-        local = _normalized_det(f, roots)
-        order = np.argsort(local, kind="stable")
-        roots = roots[order][local[order] <= 1e-7 * scale0]
-        near = _lattice_distances(roots[:, None] - roots[None, :], o1, o2) <= CELL_GATE
-        free = np.ones(len(roots), dtype=bool)
-        kept = []
-        while free.any():
-            best = int(np.argmax(free))
-            kept.append(best)
-            free &= ~near[best]
-        roots = roots[kept]
-        if len(roots) == expected:
-            break
-        g *= 2
+        roots = roots[np.abs(f.det(roots)) <= 1e-9 * o1 * np.abs(slopes)]
+        i, j, _ = _pairs(len(roots))
+        distinct = (_lattice_distances(roots[i] - roots[j], o1, o2) > CELL_GATE).all()
+        if len(roots) == mn and distinct:
+            sr = zero_sum_residual(roots, p)
+            if sr <= tol:
+                break
     else:
-        raise ZeroCountMismatch(f"found {len(roots)} determinant zeros, expected {expected}")
+        if len(roots) == mn and distinct:
+            raise SumRuleViolated(f"zero sum misses the lattice congruence by {sr:.2e}")
+        raise ZeroCountMismatch(f"found {len(roots)} {'' if distinct else 'non-distinct '}determinant zeros, expected {mn}")
     x, y = _lattice_solve(roots, o1, o2)
     roots = roots[np.lexsort((y, x))]
-    sr = zero_sum_residual(roots, p)
-    if sr > tol:
-        raise SumRuleViolated(f"zero sum misses the lattice congruence by {sr:.2e}")
-    return ZeroSet(tuple(roots.tolist()), sr, g, steps)
+    return ZeroSet(tuple(roots.tolist()), sr, counts, gap, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +746,7 @@ def interpolate(params: LatticeParams, points, vectors):
     (1/m, tau/m) cell.  By the two laws f(p) is a scalar times
     M^{-1} f(w) M with M = gamma_1^s gamma_2^q, so the conditions become
     f(w) M v = 0.  The rows of each point are taken in units of the
-    basis envelope there (`MThetaBasis.envelope` with every coordinate
+    basis envelope there (`MThetaBasis._envelope` with every coordinate
     1), which keeps them comparable across the cell at any Im c.
 
     With an array c in params, this interpolates a stack: points (K, m n)

@@ -475,44 +475,42 @@ def test_det_zeros_regression_walk_across_cells():
     assert _zero_error(zs, N3_ZEROS) < 1e-12
 
 
-def test_det_zeros_keeps_the_better_root(monkeypatch):
-    # det_zeros moves all converged roots into the cell in one call; the
-    # first of them is moved 1e-9 off, another start finds the same zero
-    # exactly and must win its class
-    reduce = mtheta.reduce_to_cell
-    calls = []
-
-    def first_off(z, o1, o2):
-        calls.append(z)
-        out = reduce(z, o1, o2)
-        if len(calls) == 1:
-            out[0] += 1e-9
-        return out
-
-    monkeypatch.setattr(mtheta, "reduce_to_cell", first_off)
-    zs = det_zeros(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS)).points
-    assert _zero_error(zs, N3_ZEROS) < 1e-12
-
-
 def test_det_zeros_retires_non_finite_steps(monkeypatch):
-    # det f is NaN more than one cell above or below the cell; a Newton
-    # start there must retire at once instead of stepping on to the cap,
-    # while a start beside a zero converges to it
-    det = mtheta.ThetaElement.det
+    # a Newton start where the series is not finite must retire at once
+    # instead of stepping on to the cap, while a start beside a zero
+    # converges to it
+    theta_eval = mtheta.theta_eval
+    bad = 0.5 + 0.5j
     nan_points = []
 
-    def det_nan_far(self, zs):
-        zs = np.asarray(zs)
-        far = np.abs(zs.imag - 0.5) > 1.5
-        nan_points.append(int(far.sum()))
-        return np.where(far, np.nan, det(self, zs))
+    def nan_at_bad(coeffs, ks, zs):
+        hit = np.abs(zs - bad) < 1e-12
+        nan_points.append(int(hit.sum()))
+        return np.where(hit, np.nan, theta_eval(coeffs, ks, zs))
 
-    monkeypatch.setattr(mtheta.ThetaElement, "det", det_nan_far)
-    starts = np.array([0.5 + 2.5j, N3_ZEROS[1] + 0.01])
-    roots, steps = mtheta._newton_roots(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS), starts, 6.0)
-    assert nan_points[0] == 3 and sum(nan_points) == 3
+    monkeypatch.setattr(mtheta, "theta_eval", nan_at_bad)
+    starts = np.array([bad, N3_ZEROS[1] + 0.01])
+    roots, _, steps = mtheta._newton(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS), starts)
+    assert nan_points[0] == 1 and sum(nan_points) == 1
     assert steps < mtheta._NEWTON_CAP
     assert len(roots) == 1 and abs(roots[0] - N3_ZEROS[1]) < 1e-12
+
+
+def test_det_zeros_retries_on_more_lines(monkeypatch):
+    # a first try that finds no starts is followed by one on 3 m n lines
+    # at another offset, which finds every zero
+    strip_starts = mtheta._strip_starts
+    tries = []
+
+    def first_empty(p, heights, moments):
+        tries.append(len(heights))
+        starts, counts, gap = strip_starts(p, heights, moments)
+        return (starts[:0] if len(tries) == 1 else starts), counts, gap
+
+    monkeypatch.setattr(mtheta, "_strip_starts", first_empty)
+    zs = det_zeros(mtheta.ThetaElement(N3_PARAMS, N3_COEFFS))
+    assert tries == [6, 9]
+    assert _zero_error(zs.points, N3_ZEROS) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -535,17 +533,14 @@ def test_interpolate_m1_at_the_cell_corner_with_im_c_2():
     assert abs(at_zero) < 1e-12 * abs(beside)
 
 
-# the round trip through det_zeros stays at |Im c| <= 2 and Im tau >= 0.5:
-# beyond that det_zeros still misses zeros in the thin cells at m = 4
-# (ROADMAP.md); interpolation alone is swept over the whole box below
 @settings(max_examples=300)
 @given(
     m=st.integers(1, 4),
     n=st.integers(1, 3),
     re_tau=st.floats(-0.5, 0.5),
-    im_tau=st.floats(0.5, 3.0),
+    im_tau=st.floats(0.3, 3.0),
     re_c=st.floats(-1.0, 1.0),
-    im_c=st.floats(-2.0, 2.0),
+    im_c=st.floats(-8.0, 8.0),
     seed=st.integers(0, 2**16),
 )
 def test_det_zeros_recovers_interpolated_zeros_over_the_box(m, n, re_tau, im_tau, re_c, im_c, seed):
@@ -557,6 +552,21 @@ def test_det_zeros_recovers_interpolated_zeros_over_the_box(m, n, re_tau, im_tau
     zs = det_zeros(f).points
     assert len(zs) == m * n
     assert max(min(modular_distance(a, b, o1, o2) for b in zs) for a in pts) < 1e-9
+
+
+@pytest.mark.parametrize("m,n,tau,c", [(4, 3, 0.5 + 0.3j, -8j), (4, 1, 0.3j, -8j), (4, 2, 0.5j, 7j), (4, 3, -0.5 + 3j, 8j)])
+def test_det_zeros_recovers_interpolated_zeros_at_the_box_corners(m, n, tau, c):
+    # thin cells and large |Im c|, where a scan of |det f| once stalled at
+    # minima that are not zeros
+    o1, o2 = 1 / m, tau / m
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        pts, vs = _cell_draw(m, n, tau, c, rng)
+        if any(modular_distance(a, b, o1, o2) <= 50 * mtheta.CELL_GATE for i, a in enumerate(pts) for b in pts[:i]):
+            continue
+        zs = det_zeros(interpolate(LatticeParams(tau=tau, m=m, n=n, c=c), pts, vs))
+        assert sum(zs.strip_counts) == m * n and zs.winding_gap <= 1e-6
+        assert max(min(modular_distance(a, b, o1, o2) for b in zs.points) for a in pts) < 1e-9
 
 
 def _cell_draw(m, n, tau, c, rng):

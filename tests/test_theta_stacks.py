@@ -240,6 +240,8 @@ def test_values_beyond_the_double_range_raise(z):
         f.eval(np.array([z]))
     with pytest.raises(InputInvalid, match="double range"):
         f.basis().series(np.array([0.3 + 0.1j, z]))
+    with pytest.raises(InputInvalid, match="double range"):
+        f.det([z])
 
 
 def test_one_term_table_per_m_n_tau(monkeypatch):
