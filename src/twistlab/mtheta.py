@@ -666,7 +666,8 @@ def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
     """The m n determinant zeros in the cell, in lattice-coordinate order,
     by the argument principle on lines of the strip, where det f is
     1/m-periodic and zeta = exp(2 pi i m z) (Delves and Lyness 1967; see
-    README).  Lines off an integer winding number by over 1e-6 are dropped.
+    README).  Lines off an integer winding number by over 1e-6, or through
+    a zero or a non-finite value of det f, are dropped.
     m n roots with |det f| below 1e-9 cells of its slope, CELL_GATE apart
     and meeting the sum rule are accepted; else 3 m n lines are tried."""
     p = f.params
@@ -679,7 +680,9 @@ def det_zeros(f: ThetaElement, tol: float = 1e-6) -> ZeroSet:
         heights = (np.arange(count) + offset) * (o2.imag / count)
         th = theta_eval_grid(rows, ks, 1j * heights, np.arange(points) / (m * points) + 0j)
         det, slope = _det_slope(f, th.reshape(2, len(ks), -1))
-        moments = (slope / det).reshape(count, points) @ _moment_table(m, points, 2 * mn)
+        ok = np.isfinite(det) & (det != 0) & np.isfinite(slope)
+        ratio = np.where(ok, slope, np.nan) / np.where(ok, det, 1)
+        moments = ratio.reshape(count, points) @ _moment_table(m, points, 2 * mn)
         starts, counts, gap = _strip_starts(p, heights, moments)
         roots, slopes, taken = _newton(f, starts)
         steps += taken

@@ -20,10 +20,11 @@ whole block of trials is drawn in one call and mapped once per stack:
 the stream is read in the same order as one trial at a time, and the
 accepted samples are the same points.  A block holds at most BLOCK_BYTES
 of its trials' arrays, so memory does not grow with the sample count.
-The theta exchange (`mtheta.theta_map`) has such a body too, over stacks
-of theta elements.  The maps without one, `pair_map`, the maps of the GF
-construction and user maps given by apply, run the same residual on
-blocks of one trial, as lists of one point mapped by apply.
+The theta exchange (`mtheta.theta_map`) and the multiplet exchange of
+the GF construction (`ybe.gf_compose`) have such a body too, over stacks
+of theta elements and of tuples.  The maps without one, `pair_map` and
+user maps given by apply, run the same residual on blocks of one trial,
+as lists of one point mapped by apply.
 """
 
 from __future__ import annotations
@@ -112,9 +113,22 @@ class VectorDomain(PointDomain):
         self.m = int(m)
         self.entries = self.m
 
-    def sample(self, rng):
+    def sample(self, rng, size: int | None = None):
+        """One point, or a stack of `size` points equal bit for bit to
+        `size` successive single draws."""
         m = self.m
-        return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / _SQRT2
+        if size is None:
+            return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / _SQRT2
+        x = rng.standard_normal((size, 2, m))
+        return (x[:, 0] + 1j * x[:, 1]) / _SQRT2
+
+    def distance(self, a, b) -> float:
+        return float(self.distances(np.asarray(a)[None], np.asarray(b)[None])[0])
+
+    def distances(self, xs, ys):
+        """distance between corresponding tuples of two (k, m) stacks."""
+        size = lambda x: np.linalg.norm(x, axis=-1)
+        return size(xs - ys) / np.maximum(1.0, np.maximum(size(xs), size(ys)))
 
 
 def _cmul(a, b):
@@ -322,6 +336,15 @@ def _rows_of(parts):
     if isinstance(first, np.ndarray):
         return np.concatenate(parts)
     return type(first).concat(parts)
+
+
+def _stack_body(map_: TwistedMap):
+    """map_'s stack body or, for a map without one, apply row by row over
+    stacks of scalars, a non-generic row kept with its own points."""
+    if map_._stack is not None:
+        return map_._stack
+    row = lambda u, v: (*map_.apply(u, v), True) if map_.is_generic(u, v) else (u, v, False)
+    return lambda us, vs: tuple(np.array(x) for x in zip(*map(row, us, vs)))
 
 
 def _part(x, k: int, count: int):

@@ -18,7 +18,8 @@ yields an R-matrix for the multiplet exchange.
 Operators on several legs act on V_0 (x) V_1 (x) ... with the first leg
 the slowest tensor index, so a basis index is the row-major flattening
 of the legs' indices.  `place` embeds an operator on some of the legs
-as the identity on the others; every residual is a spectral norm, the
+as the identity on the others, and the word loops contract an operator
+on adjacent legs instead.  Every residual is a spectral norm, the
 largest singular value.
 
 Operators also come in stacks along leading axes: `place` and
@@ -27,19 +28,19 @@ L-operators have an evaluator over stacks of parameters beside the one
 for a single point.  The inverse, Yang-Baxter, L and Q verifiers each
 write their identity once, as a residual over stacks of trials (see
 `transpositions`); the Yang-Baxter residual runs the word loop of
-`scattering` on stacks of triples.  Over a closed-form map with
-built-in operators a block holds many trials, drawn, mapped and
-measured per numpy call.  Other maps and operators (user operators,
-the composed GF R-matrix, `compose_L`) run blocks of one trial, whose
-operators `RMatrix.stack` and `LOperator.stack` evaluate point by
-point.
+`scattering` on stacks of triples.  Over a closed-form map or the GF
+multiplet exchange, with built-in operators, the composed GF R-matrix
+or `compose_L` of stacked factors, a block holds many trials, drawn,
+mapped and measured per numpy call, as `gf_verify`'s are.  `pair_map`,
+user maps and user operators run blocks of one trial, whose operators
+`RMatrix.stack` and `LOperator.stack` evaluate point by point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -47,12 +48,15 @@ import numpy as np
 from .errors import NonGeneric, ResidualTooLarge, SizeMismatch, UnknownMap, UnknownR
 from .report import VerificationReport
 from .transpositions import (
+    _TRIAL_COPIES,
     PointDomain,
     TwistedMap,
     VectorDomain,
+    _block_cap,
     _distances,
     _part,
     _rows_of,
+    _stack_body,
     _trials,
     adjacent_word,
     verify_samples,
@@ -106,6 +110,14 @@ def place(op: np.ndarray, legs, dims) -> np.ndarray:
     full = np.zeros(stack + (total * total,), dtype=np.promote_types(op.dtype, np.float64))
     full[..., table] = op[..., None, :, :]
     return full.reshape(stack + (total, total))
+
+
+def _on_legs(op: np.ndarray, mat: np.ndarray, before: int) -> np.ndarray:
+    """place(mat, legs, dims) @ op for adjacent legs whose joint index
+    follows a factor of dimension `before` in op's row index, contracted
+    on those legs alone.  Leading axes are stacks, which broadcast."""
+    out = mat[..., None, :, :] @ op.reshape(op.shape[:-2] + (before, mat.shape[-1], -1))
+    return out.reshape(out.shape[:-3] + op.shape[-2:])
 
 
 @lru_cache(maxsize=32)
@@ -197,35 +209,35 @@ def _scatter(evaluate, step, n: int, words, params, group: int | None = None):
     along each of words (of one length), over one tuple of points or over
     stacks of tuples.
 
-    Each letter i left-multiplies by evaluate(u, v) placed on legs
-    (i, i+1), then advances the pair by step(u, v) -> (phi, psi,
-    generic).  At each position the pairs of `group` words (all by
-    default) are evaluated and mapped in one call each, the rows of one
-    word after another's.  Returns, per word, the operator, the final
-    parameters and where every step was generic."""
+    Each letter i left-multiplies by evaluate(u, v) on legs (i, i+1),
+    contracted on those legs, then advances the pair by step(u, v) ->
+    (phi, psi, generic).  At each position the pairs of `group` words
+    (all by default) are evaluated and mapped in one call each, the rows
+    of one word after another's.  Returns, per word, the operator, the
+    final parameters and where every step was generic."""
     if group is not None and group < len(words):
         parts = [words[i : i + group] for i in range(0, len(words), group)]
         return [out for part in parts for out in _scatter(evaluate, step, n, part, params)]
     runs = [list(params) for _ in words]
     n_legs = len(runs[0])
-    dims = [n] * n_legs
     count = len(words)
     ops = [_identity(n**n_legs, np.complex128)] * count
     generic = [True] * count
     for position, letters in enumerate(zip(*words)):
         letters = [int(i) for i in letters]
-        for i in letters:
-            if not 1 <= i <= n_legs - 1:
-                raise ValueError(f"word index {i} out of range for {n_legs} legs")
+        if not all(1 <= i <= n_legs - 1 for i in letters):
+            raise ValueError(f"word indices {letters} out of range for {n_legs} legs")
         us, vs = (_rows_of([run[i + j - 1] for run, i in zip(runs, letters)]) for j in (0, 1))
         try:
-            mats = evaluate(us, vs)
+            mats = np.asarray(evaluate(us, vs))
             phi, psi, ok = step(us, vs)
         except NonGeneric as exc:
             raise NonGeneric(f"non-generic pair at word position {position}") from exc
+        if mats.shape[-2:] != (n * n, n * n):
+            raise SizeMismatch(f"R has shape {mats.shape[-2:]}, not {n * n} x {n * n}")
         for k, i in enumerate(letters):
             mat = mats if np.ndim(mats) == 2 else _part(mats, k, count)
-            ops[k] = place(mat, (i - 1, i), dims) @ ops[k]
+            ops[k] = _on_legs(ops[k], mat, n ** (i - 1))
             runs[k][i - 1], runs[k][i] = _part(phi, k, count), _part(psi, k, count)
             generic[k] = generic[k] & _part(ok, k, count)
     return [(op, tuple(run), g) for op, run, g in zip(ops, runs, generic)]
@@ -344,16 +356,14 @@ def verify_L(l_op: LOperator, r: RMatrix, samples: int = 100, seed: int = 0, tol
 
 def compose_L(l_a: LOperator, l_b: LOperator) -> LOperator:
     """Coproduct composition: an L-operator on W_a (x) W_b whose matrix
-    entries are sums of tensor products of the factors' entries."""
+    entries are sums of tensor products of the factors' entries.  It
+    evaluates stacks when both factors do."""
     if l_a.n != l_b.n:
         raise SizeMismatch("composed L-operators need equal auxiliary dimension")
-    n = l_a.n
-    dims = [n, l_a.w, l_b.w]
-
-    def ev(u):
-        return place(l_b(u), (0, 2), dims) @ place(l_a(u), (0, 1), dims)
-
-    return LOperator(n, l_a.w * l_b.w, ev)
+    dims = [l_a.n, l_a.w, l_b.w]
+    product = lambda a, b: place(b, (0, 2), dims) @ place(a, (0, 1), dims)
+    stack = None if l_a._stack is None or l_b._stack is None else lambda u: product(l_a._stack(u), l_b._stack(u))
+    return LOperator(l_a.n, l_a.w * l_b.w, lambda u: product(l_a(u), l_b(u)), _stack=stack)
 
 
 def _trace_v(mat: np.ndarray, n: int, w: int) -> np.ndarray:
@@ -389,7 +399,11 @@ def q_check(l_op: LOperator, map_: TwistedMap, samples: int = 100, seed: int = 0
 @dataclass(frozen=True)
 class GFSystem:
     """An S_m action on the parameter manifold together with one-leg
-    operators G_1..G_{m-1} and a two-leg operator F over it."""
+    operators G_1..G_{m-1} and a two-leg operator F over it, all on
+    stacks of tuples (..., m): g_maps[i](u) -> (u', generic) and
+    f_map(u, v) -> (u', v', generic), with finite placeholders where the
+    base map's gate fails; g_ops[i](u) and f_op(u, v) return a stack of
+    matrices, and None stands for the identity."""
 
     m: int
     n: int
@@ -404,113 +418,103 @@ def local_gf_system(base_map: TwistedMap, m: int, n: int = 2, g_ops=None, f_op=N
     """S_m acting on tuples in C^m through a scalar twisted
     transposition: g_i applies the base map inside one tuple at slots
     (i, i+1), f applies it across the boundary slots (m, 1).  Operators
-    default to identities, the minimal consistent choice."""
+    default to identities, the minimal consistent choice; given ones
+    take one tuple (G_i) or a pair (F) and are evaluated row by row."""
     m, n = int(m), int(n)
+    if base_map.domain.kind != "scalar":
+        raise SizeMismatch(f"{base_map.name}: the GF layer takes scalar parameters, not {base_map.domain.kind} points")
+    body = _stack_body(base_map)
 
-    def g_factory(i):
-        def g(u):
-            u = np.array(u, dtype=np.complex128)
-            u[i - 1], u[i] = base_map.apply(u[i - 1], u[i])
-            return u
+    def pair(a, b):
+        # the base map on two slots' scalars, over any stack shape
+        phi, psi, ok = body(a.ravel(), b.ravel())
+        return phi.reshape(a.shape), psi.reshape(a.shape), np.reshape(ok, a.shape) if np.ndim(ok) else ok
 
-        return g
+    def g(i, u):
+        u = np.array(u, dtype=np.complex128)
+        u[..., i - 1], u[..., i], ok = pair(u[..., i - 1], u[..., i])
+        return u, ok
 
     def f_map(u, v):
-        u = np.array(u, dtype=np.complex128)
-        v = np.array(v, dtype=np.complex128)
-        u[m - 1], v[0] = base_map.apply(u[m - 1], v[0])
-        return u, v
+        u, v = np.array(u, dtype=np.complex128), np.array(v, dtype=np.complex128)
+        u[..., m - 1], v[..., 0], ok = pair(u[..., m - 1], v[..., 0])
+        return u, v, ok
 
-    if g_ops is None:
-        eye_n = _identity(n)
-        g_ops = tuple((lambda u: eye_n) for _ in range(m - 1))
-    if f_op is None:
-        eye_nn = _identity(n * n)
-        f_op = lambda u, v: eye_nn
-    return GFSystem(
-        m=m,
-        n=n,
-        domain=VectorDomain(m),
-        g_maps=tuple(g_factory(i) for i in range(1, m)),
-        f_map=f_map,
-        g_ops=tuple(g_ops),
-        f_op=f_op,
-    )
+    rows = lambda op: lambda *stacks: np.array([op(*row) for row in zip(*stacks)], dtype=np.complex128)
+    g_ops = [None] * (m - 1) if g_ops is None else map(rows, g_ops)
+    f_op = None if f_op is None else rows(f_op)
+    return GFSystem(m, n, VectorDomain(m), tuple(partial(g, i) for i in range(1, m)), f_map, tuple(g_ops), f_op)
 
 
-def _pair_dist(dom: PointDomain, a, b) -> float:
-    return max(dom.distance(a[0], b[0]), dom.distance(a[1], b[1]))
+def _gf_word(sys: GFSystem, letters, u, v, op=None):
+    """Apply GF letters in turn to stacks of pairs of tuples.  Returns the
+    images, where every letter was generic and, when op is given, op
+    left-multiplied by each letter's operator at the points it meets:
+    G_i on the legs of the tuple it maps, F on both."""
+    generic = True
+    for kind, *i in letters:
+        x, fn = (v if kind == "gr" else u), (sys.f_op if kind == "f" else sys.g_ops[i[0] - 1])
+        if op is not None and fn is not None:
+            op = _on_legs(op, fn(u, v) if kind == "f" else fn(x), sys.n if kind == "gr" else 1)
+        if kind == "f":
+            u, v, ok = sys.f_map(u, v)
+        else:
+            x, ok = sys.g_maps[i[0] - 1](x)
+            u, v = (u, x) if kind == "gr" else (x, v)
+        generic = generic & ok
+    return u, v, generic, op
+
+
+def _gf_relations(sys: GFSystem, u, v) -> list:
+    """gf_verify's residuals over stacks of pairs of tuples, (name,
+    residuals) in the order it records them.  Each relation makes two
+    words of letters (applied in turn) agree on the points and on the
+    operators; NonGeneric where a letter is not generic."""
+    eye, dom = _identity(sys.n * sys.n, np.complex128), sys.domain
+
+    def agree(a, b=()):
+        ua, va, ok_a, op_a = _gf_word(sys, a, u, v, eye)
+        ub, vb, ok_b, op_b = _gf_word(sys, b, u, v, eye)
+        if not np.all(ok_a & ok_b):
+            raise NonGeneric("gf system: a sample fails the base map's genericity gate")
+        return np.maximum(dom.distances(ua, ub), dom.distances(va, vb)), _specnorm(op_a - op_b)
+
+    gl = [("gl", i) for i in range(1, sys.m)]
+    f, last, first = ("f",), gl[-1], ("gr", 1)
+    # point involutions and operator inverse compositions
+    out = [("g_involution", np.max(np.broadcast_arrays(*[x for g in gl for x in agree([g, g])]), axis=0))]
+    out += zip(("f_involution", "f_inverse_op"), agree([f, f]))
+    # braids of interior generators, and the mixed braids across the boundary
+    for a, b in zip(gl, gl[1:]):
+        out += zip(("g_braid", "g_braid_op"), agree([a, b, a], [b, a, b]))
+    left, right = agree([f, last, f], [last, f, last]), agree([f, first, f], [first, f, first])
+    out += zip(("f_g_left_braid", "f_g_right_braid"), (left[0], right[0]))
+    return out + list(zip(("f_g_left_square", "f_g_right_square"), (left[1], right[1])))
 
 
 def gf_verify(sys: GFSystem, samples: int = 50, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """All point-level relations plus the operator squares and the two
-    identity compositions.  For m = 1 the system is a plain R-matrix
-    and the check delegates to the inverse and Yang-Baxter verifiers."""
+    identity compositions, per sample in a fixed order, on blocks of
+    samples.  For m = 1 the system is a plain R-matrix and the check
+    delegates to the inverse and Yang-Baxter verifiers."""
     if sys.m == 1:
-        map_ = TwistedMap("gf_base", sys.domain, sys.f_map)
-        r = RMatrix("gf_f", sys.n, map_, sys.f_op)
+        _, r = _exchange(sys)
         inv = verify_inverse(r, samples, seed, tol)
         tybe = verify_tybe(r, samples, seed, tol)
         rep = VerificationReport("gf_relations", "m=1", samples, seed, tol)
         for name, sub in (("inverse", inv), ("tybe", tybe)):
             rep.record(sub.argmax_sample, sub.max_residual, name)
         return rep
-    rng = np.random.default_rng(seed)
     rep = VerificationReport("gf_relations", f"m={sys.m}", samples, seed, tol)
-    m, n = sys.m, sys.n
-    dom = sys.domain
-    gs, f = sys.g_maps, sys.f_map
-    eye_n, eye_nn = _identity(n), _identity(n * n)
-    # G on the first or the second tuple's legs of V (x) V
-    left = lambda g: place(g, (0,), (n, n))
-    right = lambda g: place(g, (1,), (n, n))
-    for k in range(samples):
-        u = dom.sample(rng)
-        v = dom.sample(rng)
-        worst = 0.0
-        # point involutions and operator inverse compositions
-        for i, g in enumerate(gs, start=1):
-            worst = max(worst, dom.distance(g(g(u)), u))
-            gop = sys.g_ops[i - 1]
-            worst = max(worst, _specnorm(gop(g(u)) @ gop(u) - eye_n))
-        rep.record(k, worst, "g_involution")
-        fu, fv = f(u, v)
-        rep.record(k, _pair_dist(dom, f(fu, fv), (u, v)), "f_involution")
-        rep.record(k, _specnorm(sys.f_op(fu, fv) @ sys.f_op(u, v) - eye_nn), "f_inverse_op")
-        # braid of interior generators, point level and operator square
-        for i in range(len(gs) - 1):
-            ga, gb = gs[i], gs[i + 1]
-            worst = dom.distance(ga(gb(ga(u))), gb(ga(gb(u))))
-            rep.record(k, worst, "g_braid")
-            ga_op, gb_op = sys.g_ops[i], sys.g_ops[i + 1]
-            lhs = ga_op(gb(ga(u))) @ gb_op(ga(u)) @ ga_op(u)
-            rhs = gb_op(ga(gb(u))) @ ga_op(gb(u)) @ gb_op(u)
-            rep.record(k, _specnorm(lhs - rhs), "g_braid_op")
-        # mixed braids across the boundary
-        glast, glast_op = gs[-1], sys.g_ops[-1]
-        gl = lambda pair: (glast(pair[0]), pair[1])
-        rep.record(
-            k,
-            _pair_dist(dom, f(*gl(f(u, v))), gl(f(*gl((u, v))))),
-            "f_g_left_braid",
-        )
-        gfirst, gfirst_op = gs[0], sys.g_ops[0]
-        gr = lambda pair: (pair[0], gfirst(pair[1]))
-        rep.record(
-            k,
-            _pair_dist(dom, f(*gr(f(u, v))), gr(f(*gr((u, v))))),
-            "f_g_right_braid",
-        )
-        # operator squares threading the evolving points
-        lu, mu_ = f(u, v)
-        lhs = sys.f_op(glast(lu), mu_) @ left(glast_op(lu)) @ sys.f_op(u, v)
-        lu2, mu2 = f(glast(u), v)
-        rhs = left(glast_op(lu2)) @ sys.f_op(glast(u), v) @ left(glast_op(u))
-        rep.record(k, _specnorm(lhs - rhs), "f_g_left_square")
-        lhs = sys.f_op(lu, gfirst(mu_)) @ right(gfirst_op(mu_)) @ sys.f_op(u, v)
-        lu3, mu3 = f(u, gfirst(v))
-        rhs = right(gfirst_op(mu3)) @ sys.f_op(u, gfirst(v)) @ right(gfirst_op(v))
-        rep.record(k, _specnorm(lhs - rhs), "f_g_right_square")
+    rng = np.random.default_rng(seed)
+    # a sample draws u then v; its points and two words' operators size a block
+    cap = _block_cap(_TRIAL_COPIES * 16 * 2 * (sys.m + sys.n**4))
+    for start in range(0, samples, cap):
+        x = sys.domain.sample(rng, 2 * min(cap, samples - start)).reshape(-1, 2, sys.m)
+        rows = [(name, np.broadcast_to(res, len(x)).tolist()) for name, res in _gf_relations(sys, x[:, 0], x[:, 1])]
+        for j in range(len(x)):
+            for name, res in rows:
+                rep.record(start + j, res[j], name)
     return rep
 
 
@@ -541,23 +545,22 @@ def _letters_from_positions(word_positions, m: int) -> list[tuple]:
     return letters
 
 
-def _apply_letter_points(sys: GFSystem, letter, pts):
-    u, v = pts
-    if letter[0] == "gl":
-        return sys.g_maps[letter[1] - 1](u), v
-    if letter[0] == "gr":
-        return u, sys.g_maps[letter[1] - 1](v)
-    return sys.f_map(u, v)
+def _exchange(sys: GFSystem):
+    """The multiplet exchange map and its R-matrix, the letters of the
+    reduced block-swap word applied rightmost first, each with a body
+    over stacks of pairs of tuples.  One pair is a stack of one."""
+    word, eye = block_swap_word(sys.m)[::-1], _identity(sys.n * sys.n, np.complex128)
+    body = lambda u, v: _gf_word(sys, word, u, v)[:3]
+    # identity letters make the identity, at any points
+    fixed = all(op is None for op in (*sys.g_ops, sys.f_op))
+    stack = lambda u, v: eye if fixed else _gf_word(sys, word, u, v, eye)[3]
 
+    def one(u, v):
+        op = stack(np.asarray(u)[None], np.asarray(v)[None])
+        return op if op.ndim == 2 else op[0]
 
-def _letter_operator(sys: GFSystem, letter, pts) -> np.ndarray:
-    u, v = pts
-    n = sys.n
-    if letter[0] == "gl":
-        return place(sys.g_ops[letter[1] - 1](u), (0,), (n, n))
-    if letter[0] == "gr":
-        return place(sys.g_ops[letter[1] - 1](v), (1,), (n, n))
-    return np.asarray(sys.f_op(u, v), dtype=np.complex128)
+    map_ = TwistedMap("gf_composite", sys.domain, _body=body, _stack=body)
+    return map_, RMatrix("gf_composite_R", sys.n, map_, one, _stack=stack)
 
 
 def gf_compose(sys: GFSystem, samples: int = 50, seed: int = 0, tol: float = 1e-8):
@@ -565,51 +568,22 @@ def gf_compose(sys: GFSystem, samples: int = 50, seed: int = 0, tol: float = 1e-
 
     The map is the ordered product of the point letters of the reduced
     block-swap word; the operator threads the same letters with
-    arguments advancing alongside.  Before returning, the composed map
-    is checked against an independently decomposed word for the same
-    permutation, and the operator is run through the inverse and
-    Yang-Baxter verifiers.
+    arguments advancing alongside, each contracted on its legs; both run
+    on stacks of pairs.  Before returning, the composed map is checked
+    on seeded generic samples against an independently decomposed word
+    for the same permutation, and the operator is run through the
+    inverse and Yang-Baxter verifiers.
     """
-    m = sys.m
-    if m == 1:
-        map_ = TwistedMap("gf_composite", sys.domain, sys.f_map)
-        r = RMatrix("gf_composite_R", sys.n, map_, sys.f_op)
-    else:
-        word = block_swap_word(m)
+    map_, r = _exchange(sys)
+    alt_letters = _letters_from_positions(adjacent_word(block_swap_perm(sys.m)), sys.m)
 
-        def ap(u, v):
-            pts = (u, v)
-            for letter in reversed(word):
-                pts = _apply_letter_points(sys, letter, pts)
-            return pts
+    def residual(stack, pts):
+        (cu, cv, ok), (du, dv, direct_ok, _) = stack(*pts), _gf_word(sys, alt_letters, *pts)
+        return np.maximum(sys.domain.distances(cu, du), sys.domain.distances(cv, dv)), ok & direct_ok
 
-        map_ = TwistedMap("gf_composite", sys.domain, ap)
-
-        def rev(u, v):
-            pts = (u, v)
-            op = _identity(sys.n * sys.n, np.complex128)
-            for letter in reversed(word):
-                op = _letter_operator(sys, letter, pts) @ op
-                pts = _apply_letter_points(sys, letter, pts)
-            return op
-
-        r = RMatrix("gf_composite_R", sys.n, map_, rev)
-
-        alt_letters = _letters_from_positions(adjacent_word(block_swap_perm(m)), m)
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            u = sys.domain.sample(rng)
-            v = sys.domain.sample(rng)
-            direct = (u, v)
-            for letter in alt_letters:
-                direct = _apply_letter_points(sys, letter, direct)
-            composed = map_.apply(u, v)
-            worst = max(worst, _pair_dist(sys.domain, composed, direct))
-        if worst > tol:
-            raise ResidualTooLarge(
-                f"composed map disagrees with the direct block-swap action by {worst:.2e}"
-            )
+    direct = verify_samples("block_swap", map_.name, samples, seed, tol, _trials(map_, 2, residual))
+    if not direct.passed:
+        raise ResidualTooLarge(f"composed map disagrees with the direct block-swap action by {direct.max_residual:.2e}")
     inv = verify_inverse(r, min(samples, 25), seed, tol)
     tybe = verify_tybe(r, min(samples, 25), seed, tol)
     if not inv.passed or not tybe.passed:

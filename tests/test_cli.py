@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -333,3 +334,20 @@ def test_theta_factor_of_the_zero_element_exit_2():
     assert code == 2
     assert rep["error"]["type"] == "InputInvalid"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gf-verify", "gf-compose"])
+def test_gf_commands_on_a_non_scalar_base_map_exit_2(command):
+    code, rep, err = invoke([command, "--base-map", "matrix_rational", "--m", "2", "--samples", "3"])
+    assert code == 2 and rep["status"] == "error"
+    assert rep["error"]["type"] == "SizeMismatch" and "scalar parameters" in rep["error"]["message"]
+    assert "Traceback" not in err
+
+
+def test_theta_zeros_of_the_zero_element_exit_2_without_warnings():
+    elem = {"tau": [0, 1], "m": 2, "n": 1, "c": [0.1, 0.2], "coeffs": [[0, 0]] * 4}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, err = invoke(["theta-zeros", "--in", json.dumps(elem)])
+    assert code == 2 and rep["error"]["type"] == "ZeroCountMismatch"
+    assert "Traceback" not in err and "Warning" not in err

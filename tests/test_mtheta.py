@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from twistlab.errors import (
     ResidualTooLarge,
     SumRuleViolated,
     TwistlabError,
+    ZeroCountMismatch,
 )
 from twistlab.mtheta import (
     LatticeParams,
@@ -208,6 +211,39 @@ def test_det_zeros_m2_count_and_sum():
         zs = det_zeros(f)
         assert len(zs.points) == 2
         assert zs.sum_residual < 1e-6
+
+
+# det f vanishes identically (up to rounding) for this m = 2, n = 1
+# element, found by Gauss-Newton on det f = 0 at 40 points: a
+# Jacobi-type identity among the level-1 components
+SINGULAR_COEFFS = [
+    0.84612743039336 - 0.0031644469183222195j,
+    -0.10054847978846966 + 0.06690404563667403j,
+    0.9999999999999999 + 0j,
+    0.25518112019898176 + 0.7957355569478333j,
+]
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def test_det_zeros_of_the_zero_element_raise_without_warnings(m, n):
+    """det f = 0 on every line: the lines are dropped, no division by
+    zero warns, and the typed error is raised."""
+    f = mtheta.ThetaElement(LatticeParams(tau=TAU, m=m, n=n, c=C0), np.zeros(m * m * n, complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroCountMismatch, match="found 0"):
+            det_zeros(f)
+
+
+def test_det_zeros_of_a_singular_element_raise_without_warnings():
+    params = LatticeParams(tau=1j, m=2, n=1, c=0.1 + 0.2j)
+    f = mtheta.ThetaElement(params, np.array(SINGULAR_COEFFS))
+    zs = np.array([0.1 + 0.2j, 0.37 + 0.05j, 0.26 + 0.41j])
+    assert np.abs(f.det(zs)).max() < 1e-14 * np.abs(f.eval(zs)).max() ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroCountMismatch):
+            det_zeros(f)
 
 
 def test_interpolate_round_trip_through_zero_finder():

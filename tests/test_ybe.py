@@ -628,3 +628,198 @@ def test_block_cap_bounds_the_rows_and_keeps_the_report(monkeypatch):
                 rows, caps[:] = [], []
                 assert verify(_spied(map_, rows)).to_dict() == whole, (check, block_bytes)
                 assert len(caps) == 1 and max(rows) <= caps[0] < whole["samples"], (check, caps)
+
+
+# --- the GF layer on stacks against its per-sample form ----------------------
+
+
+def _reference_gf_system(base, m, n, g_ops=None, f_op=None):
+    """Maps and operators of one tuple, as local_gf_system built them
+    before it ran on stacks."""
+
+    def g_factory(i):
+        def g(u):
+            u = np.array(u, dtype=np.complex128)
+            u[i - 1], u[i] = base.apply(u[i - 1], u[i])
+            return u
+
+        return g
+
+    def f_map(u, v):
+        u, v = np.array(u, dtype=np.complex128), np.array(v, dtype=np.complex128)
+        u[m - 1], v[0] = base.apply(u[m - 1], v[0])
+        return u, v
+
+    g_ops = g_ops or [lambda u: np.eye(n)] * (m - 1)
+    f_op = f_op or (lambda u, v: np.eye(n * n))
+    return [g_factory(i) for i in range(1, m)], f_map, list(g_ops), f_op
+
+
+def reference_gf_verify(base, m, n, samples, seed, tol=1e-9, g_ops=None, f_op=None):
+    """gf_verify's per-sample loop, one tuple pair at a time."""
+    gs, f, gops, fop = _reference_gf_system(base, m, n, g_ops, f_op)
+    dom = transpositions.VectorDomain(m)
+    pair_dist = lambda a, b: max(dom.distance(a[0], b[0]), dom.distance(a[1], b[1]))
+    left = lambda g: place(g, (0,), (n, n))
+    right = lambda g: place(g, (1,), (n, n))
+    eye_n, eye_nn = np.eye(n), np.eye(n * n)
+    rng = np.random.default_rng(seed)
+    rep = ybe.VerificationReport("gf_relations", f"m={m}", samples, seed, tol)
+    for k in range(samples):
+        u = dom.sample(rng)
+        v = dom.sample(rng)
+        worst = 0.0
+        for i, g in enumerate(gs):
+            worst = max(worst, dom.distance(g(g(u)), u))
+            worst = max(worst, _specnorm(gops[i](g(u)) @ gops[i](u) - eye_n))
+        rep.record(k, worst, "g_involution")
+        fu, fv = f(u, v)
+        rep.record(k, pair_dist(f(fu, fv), (u, v)), "f_involution")
+        rep.record(k, _specnorm(fop(fu, fv) @ fop(u, v) - eye_nn), "f_inverse_op")
+        for i in range(len(gs) - 1):
+            ga, gb, ga_op, gb_op = gs[i], gs[i + 1], gops[i], gops[i + 1]
+            rep.record(k, dom.distance(ga(gb(ga(u))), gb(ga(gb(u)))), "g_braid")
+            lhs = ga_op(gb(ga(u))) @ gb_op(ga(u)) @ ga_op(u)
+            rhs = gb_op(ga(gb(u))) @ ga_op(gb(u)) @ gb_op(u)
+            rep.record(k, _specnorm(lhs - rhs), "g_braid_op")
+        glast, glast_op, gfirst, gfirst_op = gs[-1], gops[-1], gs[0], gops[0]
+        gl = lambda pair: (glast(pair[0]), pair[1])
+        gr = lambda pair: (pair[0], gfirst(pair[1]))
+        rep.record(k, pair_dist(f(*gl(f(u, v))), gl(f(*gl((u, v))))), "f_g_left_braid")
+        rep.record(k, pair_dist(f(*gr(f(u, v))), gr(f(*gr((u, v))))), "f_g_right_braid")
+        lhs = fop(glast(fu), fv) @ left(glast_op(fu)) @ fop(u, v)
+        lu2, _ = f(glast(u), v)
+        rhs = left(glast_op(lu2)) @ fop(glast(u), v) @ left(glast_op(u))
+        rep.record(k, _specnorm(lhs - rhs), "f_g_left_square")
+        lhs = fop(fu, gfirst(fv)) @ right(gfirst_op(fv)) @ fop(u, v)
+        _, mu3 = f(u, gfirst(v))
+        rhs = right(gfirst_op(mu3)) @ fop(u, gfirst(v)) @ right(gfirst_op(v))
+        rep.record(k, _specnorm(lhs - rhs), "f_g_right_square")
+    return rep
+
+
+def _close(a, b, rel=1e-14):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+def same_gf_report(rep, ref):
+    """Same samples, verdict, failures, argmax and relations; residuals
+    to rounding, relative to the larger of 1 and the residual."""
+    for key in ("check", "subject", "samples", "seed", "tol", "redraws", "passed", "argmax_sample"):
+        assert getattr(rep, key) == getattr(ref, key), key
+    assert _close(rep.max_residual, ref.max_residual)
+    assert rep.argmax_sample == ref.argmax_sample
+    assert [i for i, _ in rep.failures] == [i for i, _ in ref.failures]
+    assert all(_close(a, b) for (_, a), (_, b) in zip(rep.failures, ref.failures))
+    assert list(rep.breakdown) == list(ref.breakdown)
+    assert all(_close(rep.breakdown[k], ref.breakdown[k]) for k in ref.breakdown)
+
+
+USER_MAP = transpositions.TwistedMap("user_swap", transpositions.ScalarDomain(), lambda u, v: (v, u))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("base", [SCALAR, builtin_map("q_swap", q_scale=1.5 + 0.5j, q_shift=0.25), USER_MAP],
+                         ids=["scalar", "q_swap", "user"])
+def test_gf_verify_matches_the_per_sample_loop(base, m):
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    d = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    user_ops = {"g_ops": [lambda u, k=k: c * (1 + k * u[0]) for k in range(m - 1)], "f_op": lambda u, v: d * v[0]}
+    for ops in ({}, {"g_ops": [lambda u: c] * (m - 1)}, user_ops):
+        for seed in range(4):
+            rep = gf_verify(local_gf_system(base, m, 2, **ops), samples=7, seed=seed)
+            same_gf_report(rep, reference_gf_verify(base, m, 2, 7, seed, **ops))
+
+
+def test_gf_verify_blocks_keep_the_report(monkeypatch):
+    sys3 = local_gf_system(SCALAR, 3, 2, g_ops=[lambda u: np.diag([1, u[0]])] * 2)
+    whole = gf_verify(sys3, samples=40, seed=5).to_dict()
+    assert whole["status"] == "fail"
+    for cap in (1, 7):
+        monkeypatch.setattr(ybe, "_block_cap", lambda trial_bytes: cap)
+        assert gf_verify(sys3, samples=40, seed=5).to_dict() == whole
+
+
+def test_gf_verify_raises_on_a_non_generic_sample(monkeypatch):
+    monkeypatch.setattr(transpositions, "MAP_GATE", math.inf)
+    with pytest.raises(NonGeneric):
+        gf_verify(local_gf_system(SCALAR, 2, 2), samples=3, seed=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gf_compose_matches_the_letter_by_letter_product(m):
+    rng = np.random.default_rng(m)
+    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    ops = {"g_ops": [lambda u, k=k: c + k * u[-1] * np.eye(2) for k in range(m - 1)],
+           "f_op": lambda u, v: np.kron(c, np.eye(2)) * u[-1] * v[0]}
+    gs, f, gops, fop = _reference_gf_system(SCALAR, m, 2, **ops)
+    sys_ = local_gf_system(SCALAR, m, 2, **ops)
+    map_, r = ybe._exchange(sys_)
+    for _ in range(5):
+        u, v = sys_.domain.sample(rng), sys_.domain.sample(rng)
+        pts, op = (u, v), np.eye(4, dtype=np.complex128)
+        for letter in reversed(block_swap_word(m)):
+            a, b = pts
+            if letter[0] == "gl":
+                op, pts = place(gops[letter[1] - 1](a), (0,), (2, 2)) @ op, (gs[letter[1] - 1](a), b)
+            elif letter[0] == "gr":
+                op, pts = place(gops[letter[1] - 1](b), (1,), (2, 2)) @ op, (a, gs[letter[1] - 1](b))
+            else:
+                op, pts = fop(a, b) @ op, f(a, b)
+        got = map_.apply(u, v)
+        assert all(np.abs(x - y).max() <= 1e-14 * max(1, np.abs(y).max()) for x, y in zip(got, pts))
+        assert np.abs(r(u, v) - op).max() <= 1e-14 * max(1, np.abs(op).max())
+    map_, r = gf_compose(local_gf_system(SCALAR, m, 2), samples=8, seed=1)
+    assert map_._stack is not None and r._stack is not None
+    assert np.array_equal(r(u, v), np.eye(4))
+
+
+def test_scatter_matches_the_placed_product_for_a_point_dependent_r():
+    rng = np.random.default_rng(21)
+    a, b = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)) for _ in range(2))
+    r = RMatrix("affine", 3, SCALAR, lambda u, v: a + u * b - v * v * a @ b)
+    for legs in range(3, 7):
+        pts = tuple(SCALAR.domain.sample(rng) for _ in range(legs))
+        for word in ([1, 2, 1], list(range(1, legs)), [legs - 1, 1, legs - 1, 2, 1]):
+            op, after = scattering(r, word, pts)
+            ref_op, ref_after = _reference_scattering(r, word, pts)
+            assert np.abs(op - ref_op).max() <= 1e-14 * np.abs(ref_op).max()
+            assert list(after) == list(ref_after)
+
+
+def test_vector_domain_stacks_equal_single_draws_and_distances():
+    for m in (1, 2, 3, 5):
+        dom = transpositions.VectorDomain(m)
+        rng = np.random.default_rng(m)
+        single = np.array([dom.sample(rng) for _ in range(30)])
+        stack = dom.sample(np.random.default_rng(m), 30)
+        assert stack.shape == (30, m) and np.array_equal(stack, single)
+        xs, ys = stack[:15] * 3, stack[15:]
+        got = dom.distances(xs, ys)
+        assert np.array_equal(got, [dom.distance(x, y) for x, y in zip(xs, ys)])
+        assert np.allclose(got, [transpositions.point_distance(x, y) for x, y in zip(xs, ys)], rtol=1e-15, atol=0)
+
+
+def test_compose_l_runs_stacked_and_reports_as_the_reference():
+    r_id, r_swap = builtin_R("relabel_id", SCALAR, 2), builtin_R("relabel_swap", SCALAR, 2)
+    fixtures = [builtin_L(name, 2, w) for name, w in L_FIXTURES]
+    for la, lb in ((fixtures[1], fixtures[2]), (fixtures[0], fixtures[3]), (fixtures[2], fixtures[0])):
+        comp = compose_L(la, lb)
+        assert comp._stack is not None
+        u = SCALAR.domain.sample(np.random.default_rng(0), 5)
+        assert np.allclose(np.broadcast_to(comp._stack(u), (5,) + comp(0.1).shape), [comp(x) for x in u])
+        for seed in range(10):
+            for r in (r_id, r_swap):
+                same_samples(verify_L(comp, r, samples=8, seed=seed), reference_L(comp, r, 8, seed))
+            same_samples(q_check(comp, SCALAR, samples=16, seed=seed), reference_q(comp, SCALAR, 16, seed))
+    user = LOperator(2, 1, lambda u: np.eye(2) * u)
+    assert compose_L(fixtures[1], user)._stack is None
+
+
+def test_scattering_rejects_an_r_of_the_wrong_size():
+    r = RMatrix("small", 3, SCALAR, lambda u, v: np.eye(4))
+    with pytest.raises(SizeMismatch):
+        scattering(r, (1, 2), (0.1 + 0j, 0.2 + 0j, 0.3 + 0j))
+    with pytest.raises(ValueError, match="out of range"):
+        scattering(builtin_R("relabel_swap", SCALAR, 2), (1, 3), (0.1 + 0j, 0.2 + 0j, 0.3 + 0j))
